@@ -48,7 +48,7 @@ const SKIP_DIRS: &[&str] = &[
     "target", "vendor", "fixtures", "tests", ".git", ".github", "corpus",
 ];
 
-/// Analyzes every `.rs` file under `root` (skipping [`SKIP_DIRS`]).
+/// Analyzes every `.rs` file under `root`, skipping the `SKIP_DIRS` names.
 pub fn analyze_root(root: &Path, config: &Config) -> io::Result<Analysis> {
     let mut files = Vec::new();
     collect_rust_files(root, &mut files)?;

@@ -291,8 +291,7 @@ impl AutomatonEncoder {
     /// `seen[t][s] → seen[t][s−1]` are implied and deliberately *not*
     /// emitted: measured on usb_attach they steer the search into ~35 %
     /// more conflicts.) Everything here is phrased over the base variables,
-    /// so the delta protocol and the batched search's per-count blocks are
-    /// unaffected.
+    /// so the delta protocol is unaffected.
     fn emit_symmetry_breaking(&self, cnf: &mut Cnf, slot_vars: &[Vec<Vec<Var>>]) {
         let n = self.num_states;
         // The lowest-index state is the initial state.

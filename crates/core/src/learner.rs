@@ -43,7 +43,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use tracelearn_automaton::Nfa;
 use tracelearn_expr::Predicate;
-use tracelearn_sat::{Limits, Lit, Model, SatResult, Solver, Var};
+use tracelearn_sat::{Limits, SatResult, Solver};
 use tracelearn_synth::SynthesisConfig;
 use tracelearn_trace::{
     Signature, StreamingCsvReader, SymbolTable, Trace, TraceError, TraceSet, Valuation,
@@ -64,33 +64,6 @@ const RESERVOIR_BLOCK: usize = 32;
 /// Fixed seed of the calibration reservoir's PRNG: sampling is deterministic
 /// so repeated runs over the same stream learn the same model.
 const RESERVOIR_SEED: u64 = 0xDAC2020;
-
-/// Strategy of the Phase-3 SAT search over candidate state counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverStrategy {
-    /// One incremental solver per candidate state count (the default): the
-    /// base encoding is built once per count and refinement rounds feed only
-    /// delta clauses, so learnt clauses survive across rounds. With
-    /// [`LearnerConfig::num_threads`] `> 1` the counts are explored by the
-    /// speculative portfolio (see the module docs); with one thread the
-    /// counts are tried in ascending order exactly as before.
-    #[default]
-    PerCount,
-    /// One solver for the *entire* search: each state count's clauses are
-    /// loaded hard over a fresh variable block, and a refuted count's block
-    /// is hard-deleted from the solver's clause arena and watch lists
-    /// ([`tracelearn_sat::Solver::remove_vars_from`]) before the next count
-    /// loads. This is the ROADMAP's cross-state-count batching; it is
-    /// inherently sequential (one solver), so it is mutually exclusive with
-    /// the portfolio and `num_threads` only affects extraction. The returned
-    /// state count is still the minimum satisfiable one, but the witness
-    /// automaton may differ from the per-count strategies' (any compliant
-    /// minimal model is a valid answer). The name survives from the original
-    /// activation-literal implementation, whose per-clause gate literal
-    /// defeated the solver's binary-clause fast path (the 2.2× regression
-    /// recorded in the committed bench trajectory).
-    BatchedAssumptions,
-}
 
 /// Configuration of the learner (the tunable parameters of Algorithm 1).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -137,8 +110,6 @@ pub struct LearnerConfig {
     /// counts (only the thread/speculation counters and wall times in
     /// [`LearnStats`] differ), so this is purely a wall-clock knob.
     pub num_threads: usize,
-    /// Strategy of the Phase-3 SAT search (see [`SolverStrategy`]).
-    pub solver_strategy: SolverStrategy,
     /// Upper bound on the observations [`Learner::learn_streamed`] retains
     /// for calibration. The calibration reservoir samples contiguous blocks
     /// uniformly over the **whole** stream (not just a prefix), so
@@ -165,7 +136,6 @@ impl Default for LearnerConfig {
             input_variables: Vec::new(),
             stream_chunk: 65_536,
             num_threads: 0,
-            solver_strategy: SolverStrategy::PerCount,
             calibration_sample: 65_536,
         }
     }
@@ -222,12 +192,6 @@ impl LearnerConfig {
         self
     }
 
-    /// Sets the Phase-3 solver strategy.
-    pub fn with_solver_strategy(mut self, strategy: SolverStrategy) -> Self {
-        self.solver_strategy = strategy;
-        self
-    }
-
     /// Sets the streamed-calibration sample bound (observations).
     pub fn with_calibration_sample(mut self, observations: usize) -> Self {
         self.calibration_sample = observations;
@@ -263,9 +227,8 @@ pub struct LearnStats {
     /// [`speculative_solves`](LearnStats::speculative_solves) instead, so
     /// this field is identical across thread counts).
     pub sat_queries: usize,
-    /// Number of solvers constructed on the adopted search path: with the
-    /// per-count strategies exactly one per candidate state count tried,
-    /// with [`SolverStrategy::BatchedAssumptions`] exactly one per run.
+    /// Number of solvers constructed on the adopted search path: exactly one
+    /// per candidate state count tried.
     pub solvers_constructed: usize,
     /// Learnt clauses carried into repeat queries on a reused solver, summed
     /// over all queries after the first at each state count.
@@ -285,7 +248,7 @@ pub struct LearnStats {
     pub threads_used: usize,
     /// SAT queries issued by speculative portfolio workers (state counts
     /// explored ahead of the decision point), whether or not their results
-    /// were adopted. Zero for sequential and batched runs.
+    /// were adopted. Zero for sequential runs.
     pub speculative_solves: usize,
     /// Speculative workers aborted by the cancellation flag — a smaller
     /// state count was accepted first, or newly forbidden sequences
@@ -309,16 +272,18 @@ pub struct LearnStats {
 }
 
 impl LearnStats {
-    /// Folds one solver's minimization and glue counters into the run totals.
-    fn absorb_solver_counters(
-        &mut self,
-        minimized_literals: u64,
-        lbd_histogram: &[u64; tracelearn_sat::LBD_BUCKETS],
-    ) {
-        self.minimized_literals += minimized_literals;
-        for (total, &bucket) in self.lbd_histogram.iter_mut().zip(lbd_histogram) {
+    /// Folds one adopted state count's work counters — its queries,
+    /// refinements, reused learnt clauses, minimization and glue counters,
+    /// and the solver it constructed — into the run totals.
+    fn absorb_count(&mut self, outcome: &CountOutcome) {
+        self.sat_queries += outcome.sat_queries;
+        self.refinements += outcome.refinements;
+        self.reused_learnt_clauses += outcome.reused_learnt_clauses;
+        self.minimized_literals += outcome.minimized_literals;
+        for (total, &bucket) in self.lbd_histogram.iter_mut().zip(&outcome.lbd_histogram) {
             *total += bucket;
         }
+        self.solvers_constructed += 1;
     }
 }
 
@@ -486,6 +451,21 @@ struct CountOutcome {
     minimized_literals: u64,
     lbd_histogram: [u64; tracelearn_sat::LBD_BUCKETS],
     verdict: CountVerdict,
+}
+
+impl CountOutcome {
+    /// An outcome with zeroed counters, before any solve call; the verdict
+    /// is a placeholder the refinement loop overwrites.
+    fn pending() -> Self {
+        CountOutcome {
+            sat_queries: 0,
+            refinements: 0,
+            reused_learnt_clauses: 0,
+            minimized_literals: 0,
+            lbd_histogram: [0; tracelearn_sat::LBD_BUCKETS],
+            verdict: CountVerdict::Cancelled,
+        }
+    }
 }
 
 /// Shared coordination state of one speculative portfolio worker.
@@ -1001,16 +981,14 @@ impl Learner {
                     };
                     wid_sequence.push(id);
                 }
-                // The resident raw observations, measured at the chunk's
-                // high-water mark: the rolling buffer, the calibration
-                // reservoir, and the interned distinct windows.
-                peak_resident = peak_resident
-                    .max(buffer.len() + reservoir.resident_observations() + window_ids.len() * w);
-                buffer.drain(..buffer.len() - (w - 1));
-            } else {
-                peak_resident = peak_resident
-                    .max(buffer.len() + reservoir.resident_observations() + window_ids.len() * w);
             }
+            // The resident raw observations, measured at the chunk's
+            // high-water mark: the rolling buffer, the calibration
+            // reservoir, and the interned distinct windows.
+            peak_resident = peak_resident
+                .max(buffer.len() + reservoir.resident_observations() + window_ids.len() * w);
+            // Carry the `w - 1` overlap into the next chunk.
+            buffer.drain(..buffer.len().saturating_sub(w - 1));
         }
         if total_observations < w {
             return Err(LearnError::TraceTooShort {
@@ -1204,9 +1182,8 @@ impl Learner {
         (collector.into_unique(), shard_windows)
     }
 
-    /// Phase 3: SAT-based search for the smallest compliant automaton,
-    /// dispatched to the configured [`SolverStrategy`] (and, with more than
-    /// one thread, the speculative portfolio).
+    /// Phase 3: SAT-based search for the smallest compliant automaton —
+    /// sequential with one thread, the speculative portfolio with more.
     #[allow(clippy::too_many_arguments)]
     fn solve_phase(
         &self,
@@ -1230,16 +1207,10 @@ impl Learner {
         // multi-million-element) sequences every refinement round.
         let checker = ComplianceChecker::new(&sequences, config.compliance_length);
         let threads = stats.threads_used.max(1);
-        let (num_states, automaton) = match config.solver_strategy {
-            SolverStrategy::BatchedAssumptions => {
-                self.search_batched(&windows, &checker, limits, start, &mut stats)?
-            }
-            SolverStrategy::PerCount if threads > 1 => {
-                self.search_portfolio(&windows, &checker, limits, start, &mut stats, threads)?
-            }
-            SolverStrategy::PerCount => {
-                self.search_sequential(&windows, &checker, limits, start, &mut stats)?
-            }
+        let (num_states, automaton) = if threads > 1 {
+            self.search_portfolio(&windows, &checker, limits, start, &mut stats, threads)?
+        } else {
+            self.search_sequential(&windows, &checker, limits, start, &mut stats)?
         };
         stats.states = num_states;
         stats.solver_time = solver_start.elapsed();
@@ -1297,14 +1268,7 @@ impl Learner {
         start: Instant,
         cancel: Option<&Arc<AtomicBool>>,
     ) -> CountOutcome {
-        let mut outcome = CountOutcome {
-            sat_queries: 0,
-            refinements: 0,
-            reused_learnt_clauses: 0,
-            minimized_literals: 0,
-            lbd_histogram: [0; tracelearn_sat::LBD_BUCKETS],
-            verdict: CountVerdict::Cancelled,
-        };
+        let mut outcome = CountOutcome::pending();
         if let Err(error) = self.check_time(start) {
             outcome.verdict = CountVerdict::Failed(error);
             return outcome;
@@ -1351,14 +1315,7 @@ impl Learner {
         start: Instant,
         slot: &SpeculationSlot,
     ) -> SpeculativeOutcome {
-        let mut outcome = CountOutcome {
-            sat_queries: 0,
-            refinements: 0,
-            reused_learnt_clauses: 0,
-            minimized_literals: 0,
-            lbd_histogram: [0; tracelearn_sat::LBD_BUCKETS],
-            verdict: CountVerdict::Cancelled,
-        };
+        let mut outcome = CountOutcome::pending();
         let snapshot: Vec<Vec<PredId>> = board.lock().expect("forbidden board poisoned").clone();
         if let Err(error) = self.check_time(start) {
             outcome.verdict = CountVerdict::Failed(error);
@@ -1519,11 +1476,7 @@ impl Learner {
                 start,
                 None,
             );
-            stats.sat_queries += outcome.sat_queries;
-            stats.refinements += outcome.refinements;
-            stats.reused_learnt_clauses += outcome.reused_learnt_clauses;
-            stats.absorb_solver_counters(outcome.minimized_literals, &outcome.lbd_histogram);
-            stats.solvers_constructed += 1;
+            stats.absorb_count(&outcome);
             match outcome.verdict {
                 CountVerdict::Compliant(automaton) => return Ok((num_states, automaton)),
                 // The discoveries already live in the retained encoder and
@@ -1623,12 +1576,7 @@ impl Learner {
                         let entry = board.lock().expect("forbidden board poisoned").clone();
                         self.solve_count(windows, &entry, num_states, checker, limits, start, None)
                     };
-                    stats.sat_queries += adopted.sat_queries;
-                    stats.refinements += adopted.refinements;
-                    stats.reused_learnt_clauses += adopted.reused_learnt_clauses;
-                    stats
-                        .absorb_solver_counters(adopted.minimized_literals, &adopted.lbd_histogram);
-                    stats.solvers_constructed += 1;
+                    stats.absorb_count(&adopted);
                     match adopted.verdict {
                         CountVerdict::Compliant(automaton) => {
                             for slot in &slots {
@@ -1670,136 +1618,6 @@ impl Learner {
                 Some(result) => return result,
                 None => next_count = wave_end + 1,
             }
-        }
-        Err(LearnError::NoAutomaton {
-            max_states: config.max_states,
-        })
-    }
-
-    /// The cross-state-count batched search
-    /// ([`SolverStrategy::BatchedAssumptions`]): one solver for the whole
-    /// run. Each candidate count's clauses are loaded as *hard* clauses over
-    /// a fresh variable block; when the count is refuted the entire block is
-    /// hard-deleted from the solver's clause arena and watch lists
-    /// ([`Solver::remove_vars_from`]) and the unsatisfiable verdict it
-    /// caused is cleared. Earlier revisions gated each block behind an
-    /// activation literal instead — that literal turned every binary clause
-    /// of the encoding into a ternary one, defeating the solver's
-    /// binary-clause specialization and taxing the whole search (the 2.2×
-    /// regression recorded in `BENCH_sat_incremental.json`); since the
-    /// per-count blocks share no variables, nothing ever flowed across
-    /// counts to justify the tax.
-    fn search_batched(
-        &self,
-        windows: &[Vec<PredId>],
-        checker: &ComplianceChecker,
-        limits: Limits,
-        start: Instant,
-        stats: &mut LearnStats,
-    ) -> Result<(usize, Nfa<PredId>), LearnError> {
-        let config = &self.config;
-        let mut encoder = AutomatonEncoder::new(windows.to_vec(), config.initial_states);
-        let mut solver = Solver::new(0);
-        stats.solvers_constructed += 1;
-        for num_states in config.initial_states..=config.max_states {
-            self.check_time(start)?;
-            encoder.set_num_states(num_states);
-            let encoding = encoder.encode_base();
-            let base = solver.num_vars();
-            for _ in 0..encoding.cnf.num_vars() {
-                solver.new_var();
-            }
-            let offset = |lit: Lit| {
-                let var = Var::new(
-                    u32::try_from(lit.var().index() + base).expect("variable count fits in u32"),
-                );
-                if lit.is_positive() {
-                    Lit::positive(var)
-                } else {
-                    Lit::negative(var)
-                }
-            };
-            for clause in encoding.cnf.clauses() {
-                solver.add_clause(clause.iter().map(|&lit| offset(lit)));
-            }
-            let mut refinements_here = 0usize;
-            let accepted = loop {
-                self.check_time(start)?;
-                if encoder.estimated_clauses() > config.max_clauses {
-                    return Err(LearnError::BudgetExhausted {
-                        resource: format!(
-                            "encoding with {} states exceeds the clause budget ({} estimated)",
-                            num_states,
-                            encoder.estimated_clauses()
-                        ),
-                    });
-                }
-                if refinements_here > 0 {
-                    stats.reused_learnt_clauses += solver.num_learnts() as u64;
-                }
-                stats.sat_queries += 1;
-                match solver.solve_with_limits(limits) {
-                    SatResult::Unsat => break None,
-                    SatResult::Unknown => {
-                        return Err(LearnError::BudgetExhausted {
-                            resource: format!(
-                                "SAT conflict budget exhausted with {num_states} states"
-                            ),
-                        })
-                    }
-                    SatResult::Sat(model) => {
-                        // Re-base the count's variable block so the encoding
-                        // can decode the model it was built for.
-                        let local = Model::new(
-                            (0..encoding.cnf.num_vars())
-                                .map(|v| {
-                                    model.value(Var::new(
-                                        u32::try_from(base + v)
-                                            .expect("variable count fits in u32"),
-                                    ))
-                                })
-                                .collect(),
-                        );
-                        let candidate = encoding.decode(encoder.windows(), &local);
-                        let violations = checker.invalid(&candidate);
-                        if violations.is_empty() {
-                            break Some(candidate);
-                        }
-                        refinements_here += 1;
-                        if refinements_here > config.max_refinements {
-                            return Err(LearnError::BudgetExhausted {
-                                resource: format!(
-                                    "more than {} refinement rounds with {num_states} states",
-                                    config.max_refinements
-                                ),
-                            });
-                        }
-                        for violation in violations {
-                            encoder.forbid_sequence(violation);
-                        }
-                        for clause in encoder.delta_clauses(&encoding) {
-                            solver.add_clause(clause.into_iter().map(offset));
-                        }
-                    }
-                }
-            };
-            stats.refinements += refinements_here;
-            if let Some(automaton) = accepted {
-                let solver_stats = solver.stats();
-                stats.absorb_solver_counters(
-                    solver_stats.minimized_literals,
-                    &solver_stats.lbd_histogram,
-                );
-                return Ok((num_states, automaton));
-            }
-            // Retire the refuted count before moving on: hard-delete its
-            // entire variable block — original clauses, learnt clauses, and
-            // top-level facts — and clear the refutation verdict it caused.
-            // The blocks share no variables, so the solver is left exactly
-            // as if the count had never been loaded.
-            solver.remove_vars_from(Var::new(
-                u32::try_from(base).expect("variable count fits in u32"),
-            ));
         }
         Err(LearnError::NoAutomaton {
             max_states: config.max_states,
@@ -2089,33 +1907,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_assumptions_finds_the_same_minimal_state_count() {
-        for trace in [
-            small_counter(),
-            usb_slot::generate(&usb_slot::UsbSlotConfig {
-                length: 39,
-                seed: 0xDAC2020,
-            }),
-        ] {
-            let per_count = Learner::new(LearnerConfig::default())
-                .learn(&trace)
-                .unwrap();
-            let batched = Learner::new(
-                LearnerConfig::default().with_solver_strategy(SolverStrategy::BatchedAssumptions),
-            )
-            .learn(&trace)
-            .unwrap();
-            assert_eq!(batched.num_states(), per_count.num_states());
-            // One solver serves the entire search.
-            assert_eq!(batched.stats().solvers_constructed, 1);
-            // The model is compliant like any other.
-            let violations =
-                invalid_sequences(batched.automaton(), batched.predicate_sequence(), 2);
-            assert!(violations.is_empty());
-        }
-    }
-
-    #[test]
     fn zero_window_is_an_invalid_config_not_a_panic() {
         let config = LearnerConfig {
             window: 0,
@@ -2209,7 +2000,6 @@ mod tests {
             .with_input_variable("ip")
             .with_stream_chunk(1024)
             .with_num_threads(5)
-            .with_solver_strategy(SolverStrategy::BatchedAssumptions)
             .with_calibration_sample(2048);
         assert_eq!(config.window, 4);
         assert_eq!(config.compliance_length, 3);
@@ -2217,7 +2007,6 @@ mod tests {
         assert_eq!(config.input_variables, vec!["ip".to_owned()]);
         assert_eq!(config.stream_chunk, 1024);
         assert_eq!(config.num_threads, 5);
-        assert_eq!(config.solver_strategy, SolverStrategy::BatchedAssumptions);
         assert_eq!(config.calibration_sample, 2048);
         assert_eq!(Learner::new(config).effective_threads(), 5);
         assert!(Learner::new(LearnerConfig::default()).effective_threads() >= 1);

@@ -18,9 +18,7 @@ use crate::wire::{Reader, Writer};
 use std::path::Path;
 use std::time::Duration;
 use tracelearn_automaton::{Nfa, StateId};
-use tracelearn_core::{
-    LearnStats, LearnedModel, LearnerConfig, PredId, PredicateAlphabet, SolverStrategy,
-};
+use tracelearn_core::{LearnStats, LearnedModel, LearnerConfig, PredId, PredicateAlphabet};
 use tracelearn_synth::{GrammarRestriction, SynthesisConfig};
 
 /// A learned model bundled with the learner configuration it belongs to.
@@ -138,10 +136,9 @@ pub(crate) fn encode_config(w: &mut Writer, c: &LearnerConfig) {
     }
     encode_usize(w, c.stream_chunk);
     encode_usize(w, c.num_threads);
-    w.u8(match c.solver_strategy {
-        SolverStrategy::PerCount => 0,
-        SolverStrategy::BatchedAssumptions => 1,
-    });
+    // Reserved byte, once the selector of a since-removed alternative
+    // Phase-3 search strategy; kept so the codec stays at version 1.
+    w.u8(0);
     encode_usize(w, c.calibration_sample);
 }
 
@@ -167,11 +164,11 @@ pub(crate) fn decode_config(r: &mut Reader<'_>) -> Result<LearnerConfig, Persist
     }
     let stream_chunk = decode_usize(r)?;
     let num_threads = decode_usize(r)?;
-    let solver_strategy = match r.u8()? {
-        0 => SolverStrategy::PerCount,
-        1 => SolverStrategy::BatchedAssumptions,
-        other => return Err(malformed(format!("unknown solver strategy {other}"))),
-    };
+    // The reserved byte: `0`, or the legacy `1` older snapshots may carry.
+    let reserved = r.u8()?;
+    if reserved > 1 {
+        return Err(malformed(format!("reserved config byte is {reserved}")));
+    }
     let calibration_sample = decode_usize(r)?;
     Ok(LearnerConfig {
         window,
@@ -187,7 +184,6 @@ pub(crate) fn decode_config(r: &mut Reader<'_>) -> Result<LearnerConfig, Persist
         input_variables,
         stream_chunk,
         num_threads,
-        solver_strategy,
         calibration_sample,
     })
 }
@@ -476,6 +472,33 @@ mod tests {
         assert_eq!(restored.config, snapshot.config);
         // And re-encoding is byte-stable.
         assert_eq!(encode_model(&restored), bytes);
+    }
+
+    /// Re-envelopes `snapshot` with its config's reserved byte set to `byte`.
+    fn with_reserved_byte(snapshot: &ModelSnapshot, byte: u8) -> Vec<u8> {
+        let mut config = Writer::new();
+        encode_config(&mut config, &snapshot.config);
+        // The reserved byte precedes the trailing `calibration_sample` u64.
+        let offset = config.into_bytes().len() - 9;
+        let encoded = encode_model(snapshot);
+        let mut payload = envelope::decode(&encoded, SnapshotKind::Model)
+            .unwrap()
+            .to_vec();
+        assert_eq!(payload[offset], 0);
+        payload[offset] = byte;
+        envelope::encode(SnapshotKind::Model, &payload)
+    }
+
+    #[test]
+    fn legacy_reserved_config_byte_still_decodes() {
+        let snapshot = learned_snapshot();
+        let legacy = decode_model(&with_reserved_byte(&snapshot, 1)).unwrap();
+        assert_eq!(legacy.config, snapshot.config);
+        assert_eq!(encode_model(&legacy), encode_model(&snapshot));
+        assert!(matches!(
+            decode_model(&with_reserved_byte(&snapshot, 2)),
+            Err(PersistError::Malformed(_))
+        ));
     }
 
     #[test]

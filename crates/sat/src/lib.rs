@@ -18,10 +18,10 @@
 //! A [`Solver`] is designed to be *reused* across a sequence of related
 //! queries, which is how the learner's refinement loop drives it:
 //!
-//! * [`Solver::add_clause`] and [`Solver::new_var`] grow the formula between
-//!   solve calls; learnt clauses from earlier calls are kept and prune the
-//!   later searches (an activity-based database reduction evicts the least
-//!   useful half on a geometric schedule, so long runs stay bounded).
+//! * [`Solver::add_clause`] grows the formula between solve calls; learnt
+//!   clauses from earlier calls are kept and prune the later searches (an
+//!   activity-based database reduction evicts the least useful half on a
+//!   geometric schedule, so long runs stay bounded).
 //! * [`Limits`] are accounted **per call**: every call measures its conflict
 //!   and propagation budget from its own entry point, so a reused solver is
 //!   never charged for work done by earlier calls.

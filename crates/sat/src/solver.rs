@@ -27,11 +27,11 @@
 //! is dropped on a geometric schedule. [`SolverStats`] exposes the LBD
 //! histogram and the minimized-literal count.
 //!
-//! The solver is *incremental*: clauses and variables may be added between
-//! solve calls ([`Solver::add_clause`], [`Solver::new_var`]), learnt clauses
-//! are kept across calls (subject to database reduction), and
-//! [`Solver::solve_with_assumptions`] decides the formula under a set of
-//! temporary unit assumptions without permanently binding them. Resource
+//! The solver is *incremental*: clauses may be added between solve calls
+//! ([`Solver::add_clause`]), learnt clauses are kept across calls (subject
+//! to database reduction), and [`Solver::solve_with_assumptions`] decides
+//! the formula under a set of temporary unit assumptions without
+//! permanently binding them. Resource
 //! [`Limits`] are accounted *per call*: each solve call gets its own fresh
 //! conflict and propagation budget, regardless of how much work earlier calls
 //! on the same solver performed.
@@ -313,9 +313,6 @@ pub struct Solver {
     var_inc: f64,
     cla_inc: f64,
     phase: Vec<bool>,
-    /// Whether the variable may be picked as a decision; retired variables
-    /// (see [`Solver::set_decision`]) are skipped by the VSIDS heap.
-    decision: Vec<bool>,
     heap: VarHeap,
     seen: Vec<bool>,
     /// Scratch for conflict-clause minimization: literals whose `seen` flag
@@ -327,11 +324,6 @@ pub struct Solver {
     level_stamp: Vec<u64>,
     stamp: u64,
     ok: bool,
-    /// When `ok` is false: a variable involved in the refutation's final
-    /// step, identifying (under [`Solver::remove_vars_from`]'s var-disjoint
-    /// contract) the clause block the refutation lives in. `None` means the
-    /// refutation is block-independent (an empty input clause).
-    unsat_witness: Option<usize>,
     stats: SolverStats,
     last_call: SolverStats,
     /// Learnt clauses currently attached to the database (arena learnts plus
@@ -373,7 +365,6 @@ impl Solver {
             var_inc: 1.0,
             cla_inc: 1.0,
             phase: vec![false; num_vars],
-            decision: vec![true; num_vars],
             heap,
             seen: vec![false; num_vars],
             to_clear: Vec::new(),
@@ -381,7 +372,6 @@ impl Solver {
             level_stamp: vec![0; num_vars + 1],
             stamp: 0,
             ok: true,
-            unsat_witness: None,
             stats: SolverStats::default(),
             last_call: SolverStats::default(),
             live_learnts: 0,
@@ -423,48 +413,6 @@ impl Solver {
         self.live_learnts
     }
 
-    /// Allocates a fresh variable and returns it. The variable participates
-    /// in decisions and may appear in clauses added afterwards.
-    pub fn new_var(&mut self) -> Var {
-        let v = self.num_vars;
-        self.num_vars += 1;
-        self.watches.push(Vec::new());
-        self.watches.push(Vec::new());
-        self.assign.push(None);
-        self.level.push(0);
-        self.reason.push(Reason::None);
-        self.activity.push(0.0);
-        self.phase.push(false);
-        self.decision.push(true);
-        self.seen.push(false);
-        self.level_stamp.push(0);
-        self.heap.grow();
-        self.heap.insert(v, &self.activity);
-        Var::new(u32::try_from(v).expect("variable count fits in u32"))
-    }
-
-    /// Sets whether `var` may be picked as a decision variable. Retiring a
-    /// variable (`decision = false`) removes it from the VSIDS heap until it
-    /// is re-enabled.
-    ///
-    /// # Caller contract
-    ///
-    /// A retired variable is never assigned by the search unless unit
-    /// propagation forces it, and an unassigned variable defaults to `false`
-    /// in a `Sat` model. A clause with **two or more** unassigned retired
-    /// literals therefore escapes propagation entirely and may be violated
-    /// by the reported model. Only retire a variable whose clauses have been
-    /// deleted (see [`Solver::remove_vars_from`], which maintains this
-    /// invariant itself) or whose value is genuinely unconstrained.
-    pub fn set_decision(&mut self, var: Var, decision: bool) {
-        let v = var.index();
-        assert!(v < self.num_vars, "variable out of range");
-        self.decision[v] = decision;
-        if decision && self.assign[v].is_none() {
-            self.heap.insert(v, &self.activity);
-        }
-    }
-
     /// Sets the learnt-database size at which the next reduction triggers.
     /// The limit then grows geometrically (×1.5) after every reduction.
     pub fn set_learnt_limit(&mut self, limit: usize) {
@@ -473,7 +421,7 @@ impl Solver {
 
     /// Installs a cooperative interrupt flag, shared with other threads.
     ///
-    /// The flag is polled inside [`Solver::propagate`] (with the same
+    /// The flag is polled inside unit propagation (with the same
     /// 1024-propagation granularity as the propagation budget) and once per
     /// conflict-loop iteration, so raising it from another thread makes an
     /// in-flight solve call give up with [`SatResult::Unknown`] promptly —
@@ -543,22 +491,15 @@ impl Solver {
             }
         }
         // Remove literals already false at top level; drop satisfied clauses.
-        // A clause emptied this way is still attributable to its variables'
-        // block, so remember one before they go.
-        let witness = clause.first().map(|l| l.var().index());
         clause.retain(|&l| self.lit_value(l) != Some(false));
         if clause.iter().any(|&l| self.lit_value(l) == Some(true)) {
             return;
         }
         match clause.len() {
-            0 => {
-                self.ok = false;
-                self.unsat_witness = witness;
-            }
+            0 => self.ok = false,
             1 => {
                 if !self.enqueue(clause[0], Reason::None) || self.propagate().is_some() {
                     self.ok = false;
-                    self.unsat_witness = Some(clause[0].var().index());
                 }
             }
             2 => self.attach_binary(clause[0], clause[1], false),
@@ -985,9 +926,7 @@ impl Solver {
             self.phase[v] = lit.is_positive();
             self.assign[v] = None;
             self.reason[v] = Reason::None;
-            if self.decision[v] {
-                self.heap.insert(v, &self.activity);
-            }
+            self.heap.insert(v, &self.activity);
         }
         self.trail_lim.truncate(target_level as usize);
         self.qhead = self.trail.len();
@@ -995,7 +934,7 @@ impl Solver {
 
     fn decide(&mut self) -> bool {
         while let Some(v) = self.heap.pop(&self.activity) {
-            if self.assign[v].is_none() && self.decision[v] {
+            if self.assign[v].is_none() {
                 self.stats.decisions += 1;
                 self.trail_lim.push(self.trail.len());
                 let lit = Lit::new(Var::new(v as u32), self.phase[v]);
@@ -1103,199 +1042,6 @@ impl Solver {
         }
     }
 
-    /// Removes every clause — original or learnt — that mentions a variable
-    /// with index ≥ `first.index()`, retires those variables from the
-    /// decision heap, unwinds their top-level facts, and clears an
-    /// unsatisfiable verdict the removed clauses were responsible for.
-    ///
-    /// # Soundness contract
-    ///
-    /// The removed variables must be *var-disjoint* from the surviving
-    /// formula: every clause that ever mentioned one of them is being
-    /// removed here (true for the learner's per-count encoding blocks,
-    /// which share no variables). Under that guarantee every surviving
-    /// learnt clause and top-level fact was derived from surviving original
-    /// clauses alone, so dropping the block — and an `Unsat` verdict whose
-    /// recorded witness variable lies inside it — leaves the solver exactly
-    /// as if the block had never been added.
-    ///
-    /// This is what makes the learner's batched single-solver search viable:
-    /// a refuted state count's block is hard-deleted from the arena and the
-    /// watch lists on count advance, instead of being dragged along behind an
-    /// activation literal that taxes every later propagation.
-    pub fn remove_vars_from(&mut self, first: Var) {
-        let cut = first.index();
-        assert!(cut <= self.num_vars, "variable out of range");
-        self.backjump(0);
-        for v in cut..self.num_vars {
-            self.decision[v] = false;
-        }
-        // Unwind the top-level trail: facts over removed variables go (their
-        // derivations die with the block); facts over surviving variables
-        // were derived from surviving clauses alone and are kept. Top-level
-        // facts need no reasons (analysis never resolves level-0 literals).
-        for v in 0..self.num_vars {
-            if self.assign[v].is_some() {
-                self.reason[v] = Reason::None;
-            }
-        }
-        self.trail.retain(|lit| {
-            let v = lit.var().index();
-            if v >= cut {
-                self.assign[v] = None;
-                false
-            } else {
-                true
-            }
-        });
-        self.qhead = 0;
-        // Mark every arena clause mentioning a removed variable.
-        let mut removed_learnts = 0usize;
-        {
-            let arena = &mut self.arena;
-            for (is_learnt, list) in [(false, &self.clauses), (true, &self.learnts)] {
-                for &cref in list.iter() {
-                    let len = arena.len(cref);
-                    if (0..len).any(|k| arena.lit(cref, k).var().index() >= cut) {
-                        arena.mark(cref);
-                        removed_learnts += usize::from(is_learnt);
-                    }
-                }
-            }
-        }
-        // Drop specialised binary clauses mentioning a removed variable.
-        let mut removed_binary_learnt_entries = 0usize;
-        for (code, list) in self.watches.iter_mut().enumerate() {
-            let watched = Lit::from_code(code);
-            list.retain(|w| {
-                if w.cref & WATCH_BINARY == 0 {
-                    return true;
-                }
-                let retired = watched.var().index() >= cut || w.blocker.var().index() >= cut;
-                if retired && w.cref & WATCH_BINARY_LEARNT != 0 {
-                    removed_binary_learnt_entries += 1;
-                }
-                !retired
-            });
-        }
-        debug_assert_eq!(
-            removed_binary_learnt_entries % 2,
-            0,
-            "binary watches pair up"
-        );
-        self.live_learnts -= removed_learnts + removed_binary_learnt_entries / 2;
-        self.remove_marked();
-        // Rebuild the decision heap canonically (live unassigned decision
-        // variables in index order): pops of the removed block's variables
-        // scrambled the heap's zero-activity ordering, and variable blocks
-        // loaded afterwards would inherit that scramble — observably worse
-        // decision order than a fresh solver's, since the encoder lays out
-        // its most constraining variables first. The activity increments
-        // reset with it, so the next block's VSIDS dynamics start exactly
-        // like a fresh solver's instead of at the old block's scale.
-        for a in &mut self.activity {
-            *a = 0.0;
-        }
-        self.heap = VarHeap::new(self.num_vars);
-        for v in 0..self.num_vars {
-            if self.decision[v] && self.assign[v].is_none() {
-                self.heap.insert(v, &self.activity);
-            }
-        }
-        self.var_inc = 1.0;
-        self.cla_inc = 1.0;
-        // A refutation whose witness variable lived in the removed block is
-        // void now; one recorded as block-independent stays.
-        if !self.ok {
-            if let Some(witness) = self.unsat_witness {
-                if witness >= cut {
-                    self.ok = true;
-                    self.unsat_witness = None;
-                }
-            }
-        }
-    }
-
-    /// Removes every clause that is satisfied at the top level — including
-    /// specialised binary clauses — and compacts the arena. Top-level facts
-    /// lose their reason clauses first (conflict analysis never resolves
-    /// level-0 literals, so reasons of top-level assignments are dead
-    /// weight that would otherwise pin their clauses).
-    ///
-    /// This is what makes retiring a batched-assumptions activation literal
-    /// cheap: after `add_clause([¬gate])`, one `simplify` call hard-deletes
-    /// every clause the gate guarded from the arena and the watch lists, so
-    /// later propagation never wades through them again.
-    pub fn simplify(&mut self) {
-        if !self.ok {
-            return;
-        }
-        self.backjump(0);
-        if let Some(conflict) = self.propagate() {
-            self.ok = false;
-            self.unsat_witness = Some(self.conflict_lit(conflict, 0).var().index());
-            return;
-        }
-        for v in 0..self.num_vars {
-            if self.assign[v].is_some() {
-                self.reason[v] = Reason::None;
-            }
-        }
-        // Mark satisfied arena clauses.
-        let mut marked = 0usize;
-        let mut marked_learnts = 0usize;
-        {
-            let assign = &self.assign;
-            let arena = &mut self.arena;
-            let value = |lit: Lit| assign[lit.var().index()].map(|v| v == lit.is_positive());
-            for list in [&self.clauses, &self.learnts] {
-                for &cref in list.iter() {
-                    let len = arena.len(cref);
-                    if (0..len).any(|k| value(arena.lit(cref, k)) == Some(true)) {
-                        arena.mark(cref);
-                        marked += 1;
-                        marked_learnts += usize::from(arena.is_learnt(cref));
-                    }
-                }
-            }
-        }
-        // Drop satisfied specialised binary clauses: the entry in
-        // `watches[l]` stands for the clause `[blocker, ¬l]`.
-        let mut removed_binary_learnt_entries = 0usize;
-        let mut removed_binary_entries = 0usize;
-        {
-            let assign = &self.assign;
-            let value = |lit: Lit| assign[lit.var().index()].map(|v| v == lit.is_positive());
-            for (code, list) in self.watches.iter_mut().enumerate() {
-                let watched = Lit::from_code(code);
-                let other = !watched;
-                list.retain(|w| {
-                    if w.cref & WATCH_BINARY == 0 {
-                        return true;
-                    }
-                    let satisfied = value(w.blocker) == Some(true) || value(other) == Some(true);
-                    if satisfied {
-                        removed_binary_entries += 1;
-                        if w.cref & WATCH_BINARY_LEARNT != 0 {
-                            removed_binary_learnt_entries += 1;
-                        }
-                    }
-                    !satisfied
-                });
-            }
-        }
-        debug_assert_eq!(removed_binary_entries % 2, 0, "binary watches pair up");
-        debug_assert_eq!(
-            removed_binary_learnt_entries % 2,
-            0,
-            "binary watches pair up"
-        );
-        self.live_learnts -= marked_learnts + removed_binary_learnt_entries / 2;
-        if marked > 0 {
-            self.remove_marked();
-        }
-    }
-
     /// Solves the formula to completion.
     pub fn solve(&mut self) -> SatResult {
         self.solve_with_limits(Limits::unlimited())
@@ -1360,9 +1106,8 @@ impl Solver {
             return SatResult::Unsat;
         }
         self.backjump(0);
-        if let Some(conflict) = self.propagate() {
+        if self.propagate().is_some() {
             self.ok = false;
-            self.unsat_witness = Some(self.conflict_lit(conflict, 0).var().index());
             return SatResult::Unsat;
         }
         if self.prop_budget_hit {
@@ -1396,7 +1141,6 @@ impl Solver {
                 conflicts_since_restart += 1;
                 if self.current_level() == 0 {
                     self.ok = false;
-                    self.unsat_witness = Some(self.conflict_lit(conflict, 0).var().index());
                     return SatResult::Unsat;
                 }
                 let (learnt, backtrack_level, lbd) = self.analyze(conflict);
@@ -1526,11 +1270,6 @@ impl VarHeap {
             heap: Vec::with_capacity(num_vars),
             position: vec![None; num_vars],
         }
-    }
-
-    /// Makes room for one more variable (see [`Solver::new_var`]).
-    fn grow(&mut self) {
-        self.position.push(None);
     }
 
     fn contains(&self, var: usize) -> bool {
@@ -1835,25 +1574,6 @@ mod tests {
     }
 
     #[test]
-    fn new_var_grows_a_live_solver() {
-        let mut solver = Solver::new(1);
-        solver.add_clause([lit(0, true)]);
-        assert!(solver.solve().is_sat());
-        let v = solver.new_var();
-        assert_eq!(solver.num_vars(), 2);
-        solver.add_clause([Lit::negative(v)]);
-        match solver.solve() {
-            SatResult::Sat(model) => {
-                assert!(model.value(Var::new(0)));
-                assert!(!model.value(v));
-            }
-            other => panic!("expected SAT, got {other:?}"),
-        }
-        solver.add_clause([Lit::positive(v)]);
-        assert!(solver.solve().is_unsat());
-    }
-
-    #[test]
     fn assumptions_are_temporary() {
         // (a ∨ b) with assumption ¬a forces b; without assumptions a is free.
         let mut solver = Solver::new(2);
@@ -2065,20 +1785,20 @@ mod tests {
         }
     }
 
-    /// New in this PR — (b): the arena layout survives `new_var` and
-    /// `add_clause` growth after solving (and after database reductions
-    /// compacted the arena).
+    /// The arena layout survives `add_clause` growth after solving (and
+    /// after database reductions compacted the arena).
     #[test]
     fn arena_survives_growth_after_solving_and_reduction() {
         let (num_vars, clauses) = pigeonhole_clauses(7, 7);
-        let mut solver = Solver::new(num_vars);
+        // One spare variable no clause mentions until after the first solve.
+        let mut solver = Solver::new(num_vars + 1);
         for clause in &clauses {
             solver.add_clause(clause.iter().copied());
         }
         solver.set_learnt_limit(20);
         assert!(solver.solve().is_sat());
-        // Grow the formula: a fresh variable bridging old clauses.
-        let v = solver.new_var();
+        // Grow the formula: clauses over the spare variable bridging old ones.
+        let v = Var::new(u32::try_from(num_vars).unwrap());
         solver.add_clause([Lit::positive(v), lit(0, true), lit(1, true)]);
         solver.add_clause([Lit::negative(v), lit(2, true)]);
         assert!(solver.solve().is_sat());
@@ -2165,83 +1885,6 @@ mod tests {
         assert_eq!(solver.last_call_stats().lbd_histogram, stats.lbd_histogram);
     }
 
-    #[test]
-    fn simplify_hard_deletes_satisfied_clauses() {
-        let mut solver = Solver::new(4);
-        let gate = lit(3, true);
-        solver.add_clause([lit(0, true), lit(1, true), !gate]);
-        solver.add_clause([lit(1, false), lit(2, true), !gate]);
-        solver.add_clause([lit(0, false), !gate]); // specialised binary
-        assert_eq!(solver.clauses.len(), 2);
-        assert!(solver
-            .solve_with_assumptions(&[gate], Limits::unlimited())
-            .is_sat());
-        // Retire the gate: every clause it guarded becomes satisfied…
-        solver.add_clause([!gate]);
-        solver.simplify();
-        // …and is gone from the arena and the watch lists, not just inert.
-        assert!(solver.clauses.is_empty());
-        assert!(solver
-            .watches
-            .iter()
-            .all(|list| list.iter().all(|w| w.cref & WATCH_BINARY == 0)));
-        assert!(solver.solve().is_sat());
-    }
-
-    #[test]
-    fn simplify_keeps_answers_on_a_relaxed_pigeonhole() {
-        let (pigeons, holes) = (6usize, 5usize);
-        let var = |pigeon: usize, hole: usize| lit(pigeon * holes + hole, true);
-        let relax = lit(pigeons * holes, true);
-        let mut solver = Solver::new(pigeons * holes + 1);
-        for p in 0..pigeons {
-            solver.add_clause((0..holes).map(|h| var(p, h)));
-        }
-        for h in 0..holes {
-            for a in 0..pigeons {
-                for b in (a + 1)..pigeons {
-                    solver.add_clause([!var(a, h), !var(b, h), relax]);
-                }
-            }
-        }
-        assert!(solver
-            .solve_with_assumptions(&[!relax], Limits::unlimited())
-            .is_unsat());
-        // Burn the relaxation in: the capacity clauses all become satisfied.
-        solver.add_clause([relax]);
-        solver.simplify();
-        assert!(solver.solve().is_sat());
-        // The pigeon clauses must have survived the compaction.
-        solver.add_clause([!var(0, 0), !var(0, 1), !var(0, 2), !var(0, 3), !var(0, 4)]);
-        match solver.solve() {
-            SatResult::Sat(model) => {
-                assert!((0..holes).any(|h| {
-                    let l = var(1, h);
-                    model.value(l.var())
-                }));
-            }
-            other => panic!("expected SAT, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn retired_decision_variables_stay_out_of_the_search() {
-        let mut solver = Solver::new(3);
-        solver.add_clause([lit(0, true), lit(1, true)]);
-        solver.set_decision(Var::new(2), false);
-        match solver.solve() {
-            SatResult::Sat(model) => assert!(!model.value(Var::new(2))),
-            other => panic!("expected SAT, got {other:?}"),
-        }
-        // Re-enabling restores the variable to the search.
-        solver.set_decision(Var::new(2), true);
-        solver.add_clause([lit(2, true)]);
-        match solver.solve() {
-            SatResult::Sat(model) => assert!(model.value(Var::new(2))),
-            other => panic!("expected SAT, got {other:?}"),
-        }
-    }
-
     mod proptests {
         use super::*;
         use proptest::prelude::*;
@@ -2288,40 +1931,6 @@ mod tests {
                 for clause in &extra {
                     incremental.add_clause(clause.iter().copied());
                 }
-                let second = incremental.solve();
-
-                let mut combined: Vec<Vec<Lit>> = base.clone();
-                combined.extend(extra.iter().cloned());
-                let expected = brute_force_sat(8, &combined);
-                match second {
-                    SatResult::Sat(model) => {
-                        prop_assert!(expected);
-                        prop_assert!(model.satisfies(&combined));
-                    }
-                    SatResult::Unsat => prop_assert!(!expected),
-                    SatResult::Unknown => prop_assert!(false, "no limits were set"),
-                }
-            }
-
-            /// Interposing `simplify` between incremental calls must not
-            /// change any answer: hard deletion of satisfied clauses and the
-            /// arena compaction it triggers are invisible to correctness.
-            #[test]
-            fn simplify_between_calls_preserves_answers(
-                base in proptest::collection::vec(clause_strategy(8), 0..25),
-                extra in proptest::collection::vec(clause_strategy(8), 0..25)
-            ) {
-                let mut incremental = Solver::new(8);
-                for clause in &base {
-                    incremental.add_clause(clause.iter().copied());
-                }
-                let first = incremental.solve();
-                prop_assert_eq!(first.is_sat(), brute_force_sat(8, &base));
-                incremental.simplify();
-                for clause in &extra {
-                    incremental.add_clause(clause.iter().copied());
-                }
-                incremental.simplify();
                 let second = incremental.solve();
 
                 let mut combined: Vec<Vec<Lit>> = base.clone();

@@ -6,7 +6,7 @@
 //! CI runs this suite in release mode alongside the debug `cargo test` run.
 
 use std::time::{Duration, Instant};
-use tracelearn::learn::{LearnStats, Learner, LearnerConfig, SolverStrategy};
+use tracelearn::learn::{LearnStats, Learner, LearnerConfig};
 use tracelearn::prelude::*;
 use tracelearn::trace::TraceSet;
 
@@ -115,26 +115,6 @@ fn portfolio_state_count_is_still_minimal() {
                 workload.name()
             );
         }
-    }
-}
-
-#[test]
-fn batched_assumptions_agrees_on_the_minimal_state_count() {
-    for workload in [Workload::Counter, Workload::UsbAttach] {
-        let set = workload_set(workload);
-        let config = config_for(workload);
-        let per_count = Learner::new(config.clone())
-            .learn_many(&set)
-            .expect("per-count run learns");
-        let batched = Learner::new(
-            config
-                .clone()
-                .with_solver_strategy(SolverStrategy::BatchedAssumptions),
-        )
-        .learn_many(&set)
-        .expect("batched run learns");
-        assert_eq!(batched.num_states(), per_count.num_states());
-        assert_eq!(batched.stats().solvers_constructed, 1);
     }
 }
 
