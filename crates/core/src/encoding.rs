@@ -11,8 +11,19 @@
 //!   the same source and label but different targets" constraint;
 //! * linkage clauses `q[i][j][s] ∧ q[i][j+1][t] → succ[s][p][t]` forcing
 //!   every window to be a path of the automaton;
+//! * per-predicate edge literals `in[p][s]` ("some `p`-edge enters `s`")
+//!   and `out[p][s]` ("some `p`-edge leaves `s`"), defined one way only by
+//!   `succ[s][p][t] → in[p][t]` and `succ[s][p][t] → out[p][s]`;
 //! * path-exclusion clauses for the invalid sequences discovered by the
-//!   compliance check;
+//!   compliance check, phrased over the edge literals at the two ends of
+//!   the sequence so that only the interior states are enumerated: a
+//!   sequence `p₀…p_{k−1}` costs `n^(k−1)` clauses (`n` binary clauses at
+//!   the paper's `l = 2`; `n` unit clauses when `k = 1`) instead of one per
+//!   full state tuple, `n^(k+1)`. This is the auxiliary-variable technique
+//!   of SAT-based exact DFA identification (Heule & Verwer, ICGI 2010).
+//!   Because `in`/`out` are only implied by `succ`, every model projects
+//!   onto an automaton without the forbidden path, and every such automaton
+//!   extends to a model by setting them to "edge exists";
 //! * BFS-order symmetry-breaking predicates over the state variables (the
 //!   lowest-index state is initial, each new state is first reached from a
 //!   lower-indexed point of the slot sequence), so the solver never
@@ -59,8 +70,11 @@ pub struct Encoding {
     slot_vars: Vec<Vec<Vec<Var>>>,
     /// `succ_vars[(s, p, t)]`: the automaton has the transition `s --p--> t`.
     succ_vars: HashMap<(usize, PredId, usize), Var>,
-    /// The predicates occurring in the windows.
-    alphabet: BTreeSet<PredId>,
+    /// `enters[p][s]`: some `p`-transition enters `s` (implied by `succ`).
+    /// Keyed by every predicate occurring in the windows.
+    enters: HashMap<PredId, Vec<Var>>,
+    /// `leaves[p][s]`: some `p`-transition leaves `s` (implied by `succ`).
+    leaves: HashMap<PredId, Vec<Var>>,
     num_states: usize,
 }
 
@@ -139,7 +153,7 @@ impl AutomatonEncoder {
 
     /// A cheap upper bound on the number of clauses the encoding will
     /// produce, used to enforce the learner's size budget before building
-    /// the formula.
+    /// the formula. Saturates at `usize::MAX` instead of overflowing.
     pub fn estimated_clauses(&self) -> usize {
         let n = self.num_states;
         let slots: usize = self.windows.iter().map(|w| w.len()).sum();
@@ -147,17 +161,19 @@ impl AutomatonEncoder {
         let states_per_slot = n * n / 2 + 1; // exactly-one
         let linkage = slots * n * n;
         let succ = n * alphabet * (n * n / 2 + 1);
+        let edge_literals = 2 * alphabet * n * n;
         let symmetry = if self.symmetry_breaking {
             (slots + self.windows.len()) * n * 5 + 1
         } else {
             0
         };
-        let forbidden: usize = self
+        let forbidden = self
             .forbidden
             .iter()
-            .map(|seq| n.pow(seq.len() as u32 + 1))
-            .sum();
-        (slots + self.windows.len()) * states_per_slot + linkage + succ + symmetry + forbidden
+            .map(|seq| exclusion_clause_count(n, seq.len()))
+            .fold(0usize, usize::saturating_add);
+        ((slots + self.windows.len()) * states_per_slot + linkage + succ + edge_literals + symmetry)
+            .saturating_add(forbidden)
     }
 
     /// Builds the CNF instance (base constraints plus every forbidden
@@ -189,13 +205,7 @@ impl AutomatonEncoder {
         );
         let mut clauses = Vec::new();
         for sequence in &self.forbidden[self.encoded_forbidden..] {
-            push_exclusion_clauses(
-                sequence,
-                &encoding.alphabet,
-                &encoding.succ_vars,
-                self.num_states,
-                &mut clauses,
-            );
+            encoding.push_exclusion_clauses(sequence, &mut clauses);
         }
         self.encoded_forbidden = self.forbidden.len();
         clauses
@@ -219,6 +229,25 @@ impl AutomatonEncoder {
                     .collect();
                 cnf.at_most_one(&lits);
             }
+        }
+
+        // Edge literals: `succ(s, p, t)` implies `in[p][t]` and `out[p][s]`.
+        // The converse is never needed — exclusion clauses only use them
+        // negatively — so the definitions stay binary.
+        let mut enters: HashMap<PredId, Vec<Var>> = HashMap::with_capacity(alphabet.len());
+        let mut leaves: HashMap<PredId, Vec<Var>> = HashMap::with_capacity(alphabet.len());
+        for &p in &alphabet {
+            let into = cnf.new_vars(n);
+            let out_of = cnf.new_vars(n);
+            for s in 0..n {
+                for t in 0..n {
+                    let edge = Lit::positive(succ_vars[&(s, p, t)]);
+                    cnf.implies(edge, Lit::positive(into[t]));
+                    cnf.implies(edge, Lit::positive(out_of[s]));
+                }
+            }
+            enters.insert(p, into);
+            leaves.insert(p, out_of);
         }
 
         // Slot state variables, one-hot per slot.
@@ -263,22 +292,24 @@ impl AutomatonEncoder {
             }
         }
 
-        // Forbidden paths from the compliance check.
-        let mut exclusions = Vec::new();
-        for sequence in &self.forbidden {
-            push_exclusion_clauses(sequence, &alphabet, &succ_vars, n, &mut exclusions);
-        }
-        for clause in exclusions {
-            cnf.add_clause(clause);
-        }
-
-        Encoding {
+        let mut encoding = Encoding {
             cnf,
             slot_vars,
             succ_vars,
-            alphabet,
+            enters,
+            leaves,
             num_states: n,
+        };
+        // Forbidden paths from the compliance check, at the tail of the CNF
+        // so that base + delta clauses replay the identical clause sequence.
+        let mut exclusions = Vec::new();
+        for sequence in &self.forbidden {
+            encoding.push_exclusion_clauses(sequence, &mut exclusions);
         }
+        for clause in exclusions {
+            encoding.cnf.add_clause(clause);
+        }
+        encoding
     }
 
     /// Emits the BFS-order symmetry-breaking predicates over the slot state
@@ -326,49 +357,58 @@ impl AutomatonEncoder {
     }
 }
 
-/// Appends the clauses forbidding `sequence` as a path: for every state tuple
-/// `(s₀, …, s_k)`, not all of the transitions `s_i --p_i--> s_{i+1}` may be
-/// present.
-fn push_exclusion_clauses(
-    sequence: &[PredId],
-    alphabet: &BTreeSet<PredId>,
-    succ_vars: &HashMap<(usize, PredId, usize), Var>,
-    n: usize,
-    out: &mut Vec<Vec<Lit>>,
-) {
-    if sequence.iter().any(|p| !alphabet.contains(p)) {
-        // A sequence mentioning a predicate outside the alphabet can never be
-        // a path built from window slots.
-        return;
-    }
-    let mut states = vec![0usize; sequence.len() + 1];
-    loop {
-        let clause: Vec<Lit> = sequence
-            .iter()
-            .enumerate()
-            .map(|(k, &p)| Lit::negative(succ_vars[&(states[k], p, states[k + 1])]))
-            .collect();
-        out.push(clause);
-        // Advance the state tuple (odometer).
-        let mut position = 0;
-        loop {
-            if position == states.len() {
-                break;
-            }
-            states[position] += 1;
-            if states[position] < n {
-                break;
-            }
-            states[position] = 0;
-            position += 1;
-        }
-        if position == states.len() {
-            break;
-        }
+/// The number of clauses [`Encoding::push_exclusion_clauses`] emits for a
+/// sequence of `len ≥ 1` predicates over `n` states: one per interior state
+/// tuple, `n^(len−1)`, or `n` unit clauses for a single predicate.
+fn exclusion_clause_count(n: usize, len: usize) -> usize {
+    if len <= 1 {
+        n
+    } else {
+        n.saturating_pow(u32::try_from(len - 1).unwrap_or(u32::MAX))
     }
 }
 
 impl Encoding {
+    /// Appends the clauses forbidding `sequence = p₀…p_{k−1}` as a path: for
+    /// every interior state tuple `(s₁, …, s_{k−1})`, not all of
+    /// `in[p₀][s₁]`, `s_i --p_i--> s_{i+1}` (`1 ≤ i < k−1`) and
+    /// `out[p_{k−1}][s_{k−1}]` may hold. A single predicate `p₀` becomes the
+    /// units `¬out[p₀][s]` for every state `s`.
+    fn push_exclusion_clauses(&self, sequence: &[PredId], out: &mut Vec<Vec<Lit>>) {
+        if sequence.iter().any(|p| !self.enters.contains_key(p)) {
+            // A sequence mentioning a predicate outside the alphabet can never
+            // be a path built from window slots.
+            return;
+        }
+        let n = self.num_states;
+        let (first, last) = (sequence[0], sequence[sequence.len() - 1]);
+        if sequence.len() == 1 {
+            out.extend(self.leaves[&first].iter().map(|&v| vec![Lit::negative(v)]));
+            return;
+        }
+        let interior = &sequence[1..sequence.len() - 1];
+        let mut states = vec![0usize; sequence.len() - 1];
+        loop {
+            let mut clause = Vec::with_capacity(sequence.len());
+            clause.push(Lit::negative(self.enters[&first][states[0]]));
+            for (k, &p) in interior.iter().enumerate() {
+                clause.push(Lit::negative(
+                    self.succ_vars[&(states[k], p, states[k + 1])],
+                ));
+            }
+            clause.push(Lit::negative(self.leaves[&last][states[states.len() - 1]]));
+            out.push(clause);
+            // Advance the interior state tuple (odometer).
+            let Some(position) = states.iter().position(|&s| s + 1 < n) else {
+                break;
+            };
+            states[position] += 1;
+            for state in &mut states[..position] {
+                *state = 0;
+            }
+        }
+    }
+
     /// Decodes a satisfying assignment into an automaton over predicate ids.
     ///
     /// Transitions are read off the window slots (not the raw successor
@@ -528,11 +568,34 @@ mod tests {
     fn estimated_clauses_is_an_upper_bound() {
         let mut alphabet = PredicateAlphabet::new();
         let p = ids(&mut alphabet, 3);
-        let mut encoder = AutomatonEncoder::new(vec![vec![p[0], p[1], p[2]]], 3);
-        encoder.forbid_sequence(vec![p[2], p[2]]);
-        let estimate = encoder.estimated_clauses();
-        let actual = encoder.encode().cnf.num_clauses();
-        assert!(estimate >= actual, "estimate {estimate} < actual {actual}");
+        let windows = vec![vec![p[0], p[1], p[2]], vec![p[2], p[0]]];
+        for n in 1..=6 {
+            for len in 1..=3 {
+                for symmetry in [true, false] {
+                    let mut encoder =
+                        AutomatonEncoder::new(windows.clone(), n).with_symmetry_breaking(symmetry);
+                    encoder.forbid_sequence(vec![p[2]; len]);
+                    encoder.forbid_sequence(p[..len].to_vec());
+                    let estimate = encoder.estimated_clauses();
+                    let actual = encoder.encode().cnf.num_clauses();
+                    assert!(
+                        estimate >= actual,
+                        "estimate {estimate} < actual {actual} at n={n}, len={len}, \
+                         symmetry={symmetry}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn estimated_clauses_saturates_on_long_sequences() {
+        let mut alphabet = PredicateAlphabet::new();
+        let p = ids(&mut alphabet, 2);
+        let mut encoder = AutomatonEncoder::new(vec![vec![p[0], p[1]]], 16);
+        encoder.forbid_sequence(vec![p[0]; 40]);
+        encoder.forbid_sequence(vec![p[1]; 40]);
+        assert_eq!(encoder.estimated_clauses(), usize::MAX);
     }
 
     #[test]
@@ -630,8 +693,8 @@ mod tests {
         assert!(encoder.delta_clauses(&encoding).is_empty());
         encoder.forbid_sequence(vec![p[2], p[2]]);
         let delta = encoder.delta_clauses(&encoding);
-        // One exclusion clause per state tuple: n^(len+1) = 2^3.
-        assert_eq!(delta.len(), 8);
+        // One exclusion clause per interior state tuple: n^(len−1) = 2^1.
+        assert_eq!(delta.len(), 2);
         // The cursor advanced: pulling again yields nothing.
         assert!(encoder.delta_clauses(&encoding).is_empty());
         // Sequences outside the window alphabet contribute no clauses.
@@ -684,5 +747,176 @@ mod tests {
             solve(&encoder).is_none(),
             "forbidden sequences survive retargeting"
         );
+    }
+
+    /// The exclusion expansion the compact encoding replaces: one clause over
+    /// `succ` literals for every full state tuple `(s₀, …, s_k)`, `n^(k+1)`
+    /// clauses per sequence. Kept as the reference the compact form must be
+    /// SAT-equivalent to.
+    fn brute_force_exclusions(encoding: &Encoding, sequence: &[PredId]) -> Vec<Vec<Lit>> {
+        let n = encoding.num_states;
+        if sequence.iter().any(|p| !encoding.enters.contains_key(p)) {
+            return Vec::new();
+        }
+        let mut clauses = Vec::new();
+        let mut states = vec![0usize; sequence.len() + 1];
+        loop {
+            clauses.push(
+                sequence
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &p)| {
+                        Lit::negative(encoding.succ_vars[&(states[k], p, states[k + 1])])
+                    })
+                    .collect(),
+            );
+            let Some(position) = states.iter().position(|&s| s + 1 < n) else {
+                return clauses;
+            };
+            states[position] += 1;
+            for state in &mut states[..position] {
+                *state = 0;
+            }
+        }
+    }
+
+    /// Solves `windows` at `n` states with `forbidden` excluded both ways —
+    /// compact edge-literal clauses and the brute-force oracle over the same
+    /// base encoding — asserts the answers agree, and checks that a compact
+    /// model decodes into an automaton with none of the forbidden paths.
+    fn assert_compact_matches_oracle(
+        windows: &[Vec<PredId>],
+        forbidden: &[Vec<PredId>],
+        n: usize,
+        symmetry: bool,
+    ) {
+        let mut encoder =
+            AutomatonEncoder::new(windows.to_vec(), n).with_symmetry_breaking(symmetry);
+        let oracle_encoding = encoder.encode();
+        let mut oracle = Solver::from_cnf(&oracle_encoding.cnf);
+        for sequence in forbidden {
+            encoder.forbid_sequence(sequence.clone());
+            for clause in brute_force_exclusions(&oracle_encoding, sequence) {
+                oracle.add_clause(clause);
+            }
+        }
+        let compact_encoding = encoder.encode();
+        let compact = Solver::from_cnf(&compact_encoding.cnf).solve();
+        assert_eq!(
+            compact.is_sat(),
+            oracle.solve().is_sat(),
+            "compact exclusion disagrees with the oracle at n={n}, symmetry={symmetry} for \
+             windows {windows:?} / forbidden {forbidden:?}"
+        );
+        if let SatResult::Sat(model) = &compact {
+            let nfa = compact_encoding.decode(windows, model);
+            for window in windows {
+                assert!(nfa.accepts_from_any_state(window));
+            }
+            for sequence in forbidden {
+                assert!(
+                    !nfa.accepts_from_any_state(sequence),
+                    "forbidden {sequence:?} is a path of the decoded automaton"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn compact_exclusion_matches_brute_force_oracle() {
+        let mut alphabet = PredicateAlphabet::new();
+        let p = ids(&mut alphabet, 4);
+        let window_sets: Vec<Vec<Vec<PredId>>> = vec![
+            vec![vec![p[0], p[1], p[2]]],
+            vec![vec![p[0], p[1]], vec![p[1], p[2]], vec![p[2], p[0]]],
+            vec![vec![p[0], p[0], p[1]], vec![p[1], p[3]]],
+        ];
+        let forbidden_sets: Vec<Vec<Vec<PredId>>> = vec![
+            vec![vec![p[3]]],
+            vec![vec![p[2], p[2]], vec![p[0], p[2]]],
+            vec![vec![p[1], p[0]], vec![p[0], p[1]]],
+            vec![vec![p[0], p[1], p[0]], vec![p[1], p[2], p[1]]],
+            vec![vec![p[2]], vec![p[1], p[1]], vec![p[0], p[0], p[0]]],
+        ];
+        for windows in &window_sets {
+            for forbidden in &forbidden_sets {
+                for n in 1..=4 {
+                    for symmetry in [true, false] {
+                        assert_compact_matches_oracle(windows, forbidden, n, symmetry);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The paper's `usb_attach` setting (259 rows, `w = 3`, `l = 2`): after
+    /// the refinement rounds of counts 2–7, the base encoding at 8 states —
+    /// the count the learner accepts — stays compact. Under the full-tuple
+    /// expansion its exclusions alone were about 88k clauses.
+    #[test]
+    fn usb_attach_base_encoding_at_eight_states_stays_compact() {
+        use crate::compliance::ComplianceChecker;
+        use crate::predicates::PredicateExtractor;
+        use tracelearn_workloads::Workload;
+
+        let trace = Workload::UsbAttach.generate(259);
+        let (sequence, _) =
+            PredicateExtractor::new(&trace, 3, tracelearn_synth::SynthesisConfig::default(), &[])
+                .expect("usb_attach is extractable")
+                .extract();
+        let windows = tracelearn_trace::unique_windows(&sequence, 3);
+        let checker = ComplianceChecker::new(&[sequence], 2);
+        let mut encoder = AutomatonEncoder::new(windows, 2);
+        for n in 2..8 {
+            encoder.set_num_states(n);
+            let encoding = encoder.encode_base();
+            let mut solver = Solver::from_cnf(&encoding.cnf);
+            while let SatResult::Sat(model) = solver.solve() {
+                let violations = checker.invalid(&encoding.decode(encoder.windows(), &model));
+                assert!(
+                    !violations.is_empty(),
+                    "usb_attach needs 8 states, found {n}"
+                );
+                for violation in violations {
+                    encoder.forbid_sequence(violation);
+                }
+                for clause in encoder.delta_clauses(&encoding) {
+                    solver.add_clause(clause);
+                }
+            }
+        }
+        assert!(encoder.num_forbidden() > 100);
+        encoder.set_num_states(8);
+        let clauses = encoder.encode_base().cnf.num_clauses();
+        assert!(clauses <= 25_000, "{clauses} clauses at 8 states");
+    }
+
+    mod prop {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn sequence_strategy(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<usize>> {
+            proptest::collection::vec(0usize..4, len)
+        }
+
+        proptest! {
+            /// On random window and forbidden sets the compact exclusion
+            /// encoding and the brute-force oracle agree at every small state
+            /// count, with and without symmetry breaking.
+            #[test]
+            fn compact_exclusion_is_sat_equivalent_to_oracle(
+                windows in proptest::collection::vec(sequence_strategy(2..4), 1..4),
+                forbidden in proptest::collection::vec(sequence_strategy(1..4), 1..4),
+                n in 1usize..=4,
+                symmetry in proptest::bool::ANY
+            ) {
+                let mut alphabet = PredicateAlphabet::new();
+                let p = ids(&mut alphabet, 4);
+                let to_ids = |seqs: &[Vec<usize>]| -> Vec<Vec<PredId>> {
+                    seqs.iter().map(|seq| seq.iter().map(|&k| p[k]).collect()).collect()
+                };
+                assert_compact_matches_oracle(&to_ids(&windows), &to_ids(&forbidden), n, symmetry);
+            }
+        }
     }
 }

@@ -1274,6 +1274,10 @@ impl Learner {
             return outcome;
         }
         encoder.set_num_states(num_states);
+        if let Err(error) = self.check_clause_budget(encoder, num_states) {
+            outcome.verdict = CountVerdict::Failed(error);
+            return outcome;
+        }
         let entry_count = encoder.num_forbidden();
         let encoding = encoder.encode_base();
         let mut solver = Solver::from_cnf(&encoding.cnf);
@@ -1327,6 +1331,13 @@ impl Learner {
         let mut encoder = AutomatonEncoder::new(windows.to_vec(), num_states);
         for sequence in &snapshot {
             encoder.forbid_sequence(sequence.clone());
+        }
+        if let Err(error) = self.check_clause_budget(&encoder, num_states) {
+            outcome.verdict = CountVerdict::Failed(error);
+            return SpeculativeOutcome {
+                entry_len: snapshot.len(),
+                outcome,
+            };
         }
         let encoding = encoder.encode_base();
         let mut solver = Solver::from_cnf(&encoding.cnf);
@@ -1395,14 +1406,8 @@ impl Learner {
             if let Err(error) = self.check_time(start) {
                 break CountVerdict::Failed(error);
             }
-            if encoder.estimated_clauses() > config.max_clauses {
-                break CountVerdict::Failed(LearnError::BudgetExhausted {
-                    resource: format!(
-                        "encoding with {} states exceeds the clause budget ({} estimated)",
-                        num_states,
-                        encoder.estimated_clauses()
-                    ),
-                });
+            if let Err(error) = self.check_clause_budget(encoder, num_states) {
+                break CountVerdict::Failed(error);
             }
             if refinements_here > 0 {
                 outcome.reused_learnt_clauses += solver.num_learnts() as u64;
@@ -1657,6 +1662,27 @@ impl Learner {
         if config.calibration_sample < 1 {
             return Err(LearnError::InvalidConfig {
                 reason: "calibration sample must be at least 1 observation".to_owned(),
+            });
+        }
+        Ok(())
+    }
+
+    /// Fails when `encoder`'s estimated clause count exceeds
+    /// [`LearnerConfig::max_clauses`]. Called before every CNF is built and
+    /// before every solve, so an over-budget count never materialises its
+    /// formula.
+    fn check_clause_budget(
+        &self,
+        encoder: &AutomatonEncoder,
+        num_states: usize,
+    ) -> Result<(), LearnError> {
+        let estimate = encoder.estimated_clauses();
+        if estimate > self.config.max_clauses {
+            return Err(LearnError::BudgetExhausted {
+                resource: format!(
+                    "encoding with {num_states} states exceeds the clause budget \
+                     ({estimate} estimated)"
+                ),
             });
         }
         Ok(())
