@@ -1,4 +1,4 @@
-//! Positive fixture: a portfolio worker loop that never polls its flag.
+//! Positive fixture: a worker loop that never polls its flag.
 pub struct Worker {
     budget: usize,
 }

@@ -24,7 +24,7 @@ use tracelearn_workloads::Workload;
 
 /// Prints the solver-quality counters: the learnt-clause LBD ("glue")
 /// histogram and the literals removed by conflict-clause minimization,
-/// aggregated over the adopted search path's solvers.
+/// aggregated over the state-count search's solvers.
 fn print_sat_stats(stats: &LearnStats) {
     let total: u64 = stats.lbd_histogram.iter().sum();
     println!("  sat quality:     {total} learnt clauses analysed");
@@ -64,13 +64,8 @@ fn print_phases(label: &str, stats: &LearnStats) {
         stats.segmentation_time, stats.solver_windows
     );
     println!(
-        "  sat:             {:>10.2?}  ({} queries, {} solvers, {} refinements, {} speculative, {} cancelled)",
-        stats.solver_time,
-        stats.sat_queries,
-        stats.solvers_constructed,
-        stats.refinements,
-        stats.speculative_solves,
-        stats.cancelled_solves
+        "  sat:             {:>10.2?}  ({} queries, {} solvers, {} refinements)",
+        stats.solver_time, stats.sat_queries, stats.solvers_constructed, stats.refinements
     );
     println!(
         "  total:           {:>10.2?}  ({} states, {} threads)",

@@ -144,9 +144,7 @@ impl AutomatonEncoder {
         self.forbidden.len()
     }
 
-    /// The forbidden sequences registered so far, in registration order. The
-    /// portfolio search reads the suffix discovered by one state count's
-    /// refinement to carry it into the next count's entry set.
+    /// The forbidden sequences registered so far, in registration order.
     pub fn forbidden_sequences(&self) -> &[Vec<PredId>] {
         &self.forbidden
     }

@@ -14,23 +14,15 @@
 //!
 //! # Parallelism
 //!
-//! The pipeline is parallel end-to-end, controlled by
-//! [`LearnerConfig::num_threads`] and built on `std::thread::scope` only:
-//!
-//! * **Extraction** — [`Learner::learn_many`] fans per-shard predicate
-//!   abstraction and windowing out across a worker pool; workers intern into
-//!   shard-local alphabets and the results are merged deterministically in
-//!   input order, so the learned model is *byte-identical* to a sequential
-//!   run. [`Learner::learn_streamed`] likewise abstracts its distinct
-//!   observation windows across the pool.
-//! * **Solving** — the sequential `initial_states..=max_states` search is
-//!   replaced by a speculative portfolio: while state count `k` is being
-//!   decided, workers construct and solve `k+1..` on their own incremental
-//!   solvers. Results are adopted only when the speculated entry state (the
-//!   forbidden-sequence set) matches what a sequential run would have seen,
-//!   which keeps the accepted model bit-identical to `num_threads = 1` and
-//!   the accepted state count minimal; an atomic cancellation flag (checked
-//!   inside the solver's propagation loop) aborts moot speculation promptly.
+//! Extraction is parallel, controlled by [`LearnerConfig::num_threads`] and
+//! built on `std::thread::scope` only: [`Learner::learn_many`] fans per-shard
+//! predicate abstraction and windowing out across a worker pool; workers
+//! intern into shard-local alphabets and the results are merged
+//! deterministically in input order, so the learned model is
+//! *byte-identical* to a sequential run. [`Learner::learn_streamed`] likewise
+//! abstracts its distinct observation windows across the pool. The SAT
+//! search is sequential: each state count's entry state depends on the
+//! forbidden sequences discovered at the counts below it.
 
 use crate::compliance::ComplianceChecker;
 use crate::encoding::{AutomatonEncoder, Encoding};
@@ -38,8 +30,8 @@ use crate::error::LearnError;
 use crate::predicates::{PredId, PredicateAlphabet, PredicateExtractor, WindowAbstractor};
 use std::collections::HashMap;
 use std::io::BufRead;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use tracelearn_automaton::Nfa;
 use tracelearn_expr::Predicate;
@@ -103,11 +95,13 @@ pub struct LearnerConfig {
     /// sweep (plus a `w − 1` overlap carry and the calibration reservoir,
     /// see [`calibration_sample`](LearnerConfig::calibration_sample)).
     pub stream_chunk: usize,
-    /// Worker threads for shard extraction and the speculative state-count
-    /// portfolio. `0` (the default) means "use the machine's available
-    /// parallelism"; `1` disables threading and preserves the exact
-    /// sequential pipeline. Learned models are byte-identical across thread
-    /// counts (only the thread/speculation counters and wall times in
+    /// Worker threads for predicate extraction: the per-shard fan-out of
+    /// [`Learner::learn_many`] and the distinct-window abstraction of
+    /// [`Learner::learn_streamed`]. The SAT search always runs on the
+    /// calling thread. `0` (the default) means "use the machine's available
+    /// parallelism"; `1` disables threading. Learned models are
+    /// byte-identical across thread counts (only
+    /// [`threads_used`](LearnStats::threads_used) and the wall times in
     /// [`LearnStats`] differ), so this is purely a wall-clock knob.
     pub num_threads: usize,
     /// Upper bound on the observations [`Learner::learn_streamed`] retains
@@ -222,37 +216,33 @@ pub struct LearnStats {
     /// calibration reservoir and the interned distinct observation windows
     /// (small by the paper's key insight).
     pub peak_resident_observations: usize,
-    /// Number of SAT queries issued on the *adopted* search path (queries by
-    /// speculative workers whose results were discarded are counted in
-    /// [`speculative_solves`](LearnStats::speculative_solves) instead, so
-    /// this field is identical across thread counts).
+    /// Number of SAT queries issued by the state-count search.
     pub sat_queries: usize,
-    /// Number of solvers constructed on the adopted search path: exactly one
+    /// Number of solvers constructed by the state-count search: exactly one
     /// per candidate state count tried.
     pub solvers_constructed: usize,
     /// Learnt clauses carried into repeat queries on a reused solver, summed
     /// over all queries after the first at each state count.
     pub reused_learnt_clauses: u64,
     /// Literals the solver's conflict-clause minimization removed from learnt
-    /// clauses before attachment, summed over the adopted search path.
+    /// clauses before attachment, summed over the state-count search.
     pub minimized_literals: u64,
-    /// Histogram of learnt-clause LBD ("glue") values over the adopted search
-    /// path: bucket `i` counts clauses learnt with glue `i + 1`; the last
+    /// Histogram of learnt-clause LBD ("glue") values over the state-count
+    /// search: bucket `i` counts clauses learnt with glue `i + 1`; the last
     /// bucket aggregates glue ≥ [`tracelearn_sat::LBD_BUCKETS`].
     pub lbd_histogram: [u64; tracelearn_sat::LBD_BUCKETS],
     /// Number of compliance-refinement rounds performed.
     pub refinements: usize,
     /// Number of states of the learned automaton.
     pub states: usize,
-    /// Worker threads available to this run (`1` = sequential pipeline).
+    /// Worker threads available to this run's extraction (`1` = sequential).
     pub threads_used: usize,
-    /// SAT queries issued by speculative portfolio workers (state counts
-    /// explored ahead of the decision point), whether or not their results
-    /// were adopted. Zero for sequential runs.
+    /// Always 0: the state-count search runs no speculative solves. Kept
+    /// because `perfbench` reads it and the persisted `Model` format
+    /// encodes it.
     pub speculative_solves: usize,
-    /// Speculative workers aborted by the cancellation flag — a smaller
-    /// state count was accepted first, or newly forbidden sequences
-    /// invalidated the speculation wave.
+    /// Always 0: the state-count search cancels no solves. Kept because
+    /// `perfbench` reads it and the persisted `Model` format encodes it.
     pub cancelled_solves: usize,
     /// Wall-clock time spent ingesting the raw stream
     /// ([`Learner::learn_streamed`] only; the in-memory paths report zero).
@@ -272,7 +262,7 @@ pub struct LearnStats {
 }
 
 impl LearnStats {
-    /// Folds one adopted state count's work counters — its queries,
+    /// Folds one state count's work counters — its queries,
     /// refinements, reused learnt clauses, minimization and glue counters,
     /// and the solver it constructed — into the run totals.
     fn absorb_count(&mut self, outcome: &CountOutcome) {
@@ -432,14 +422,10 @@ impl LearnedModel {
 enum CountVerdict {
     /// A compliant automaton with this many states exists.
     Compliant(Nfa<PredId>),
-    /// No automaton with this many states satisfies the constraints;
-    /// `discovered` carries the forbidden sequences this count's refinement
-    /// found (to be inherited by larger counts, in discovery order).
-    Unsat { discovered: Vec<Vec<PredId>> },
+    /// No automaton with this many states satisfies the constraints.
+    Unsat,
     /// A resource budget ran out (or the configuration was rejected).
     Failed(LearnError),
-    /// The cancellation flag aborted the worker before it finished.
-    Cancelled,
 }
 
 /// One state count's refinement result plus its work counters.
@@ -454,47 +440,17 @@ struct CountOutcome {
 }
 
 impl CountOutcome {
-    /// An outcome with zeroed counters, before any solve call; the verdict
-    /// is a placeholder the refinement loop overwrites.
-    fn pending() -> Self {
+    /// A count that failed before any solve call: zeroed counters.
+    fn failed(error: LearnError) -> Self {
         CountOutcome {
             sat_queries: 0,
             refinements: 0,
             reused_learnt_clauses: 0,
             minimized_literals: 0,
             lbd_histogram: [0; tracelearn_sat::LBD_BUCKETS],
-            verdict: CountVerdict::Cancelled,
+            verdict: CountVerdict::Failed(error),
         }
     }
-}
-
-/// Shared coordination state of one speculative portfolio worker.
-struct SpeculationSlot {
-    /// Raised to abort the worker: its count became moot (a smaller count
-    /// was accepted, the run failed) or its speculation went stale (it
-    /// started solving before a broadcast it needed).
-    cancel: Arc<AtomicBool>,
-    /// The forbidden-board length the worker had incorporated when it issued
-    /// its first solve call (`usize::MAX` until then). The adjudicator
-    /// compares this against the board length a sequential run would have
-    /// seen to decide whether the speculated result can be adopted.
-    synced: Arc<AtomicUsize>,
-}
-
-impl SpeculationSlot {
-    fn new() -> Self {
-        SpeculationSlot {
-            cancel: Arc::new(AtomicBool::new(false)),
-            synced: Arc::new(AtomicUsize::new(usize::MAX)),
-        }
-    }
-}
-
-/// A speculative worker's result: the count outcome plus the entry state it
-/// was computed against.
-struct SpeculativeOutcome {
-    entry_len: usize,
-    outcome: CountOutcome,
 }
 
 /// Deterministic block-level reservoir sample over a valuation stream.
@@ -1182,8 +1138,7 @@ impl Learner {
         (collector.into_unique(), shard_windows)
     }
 
-    /// Phase 3: SAT-based search for the smallest compliant automaton —
-    /// sequential with one thread, the speculative portfolio with more.
+    /// Phase 3: SAT-based search for the smallest compliant automaton.
     #[allow(clippy::too_many_arguments)]
     fn solve_phase(
         &self,
@@ -1206,12 +1161,8 @@ impl Learner {
         // the compliance oracle once instead of rescanning the (possibly
         // multi-million-element) sequences every refinement round.
         let checker = ComplianceChecker::new(&sequences, config.compliance_length);
-        let threads = stats.threads_used.max(1);
-        let (num_states, automaton) = if threads > 1 {
-            self.search_portfolio(&windows, &checker, limits, start, &mut stats, threads)?
-        } else {
-            self.search_sequential(&windows, &checker, limits, start, &mut stats)?
-        };
+        let (num_states, automaton) =
+            self.search_sequential(&windows, &checker, limits, start, &mut stats)?;
         stats.states = num_states;
         stats.solver_time = solver_start.elapsed();
         stats.total_time = start.elapsed();
@@ -1227,38 +1178,12 @@ impl Learner {
 
     /// Runs the complete compliance-refinement loop at one candidate state
     /// count: one incremental solver, base encoding once, delta clauses per
-    /// round. `entry_forbidden` seeds the encoder with the sequences
-    /// discovered at earlier counts (they are properties of the predicate
-    /// sequence, valid at every count); the sequences *this* count discovers
-    /// are returned with the [`CountVerdict::Unsat`] verdict so the caller
-    /// can carry them forward in discovery order. Given the same entry set,
-    /// this function is fully deterministic — the invariant the speculative
-    /// portfolio's adoption rule relies on.
-    #[allow(clippy::too_many_arguments)]
-    fn solve_count(
-        &self,
-        windows: &[Vec<PredId>],
-        entry_forbidden: &[Vec<PredId>],
-        num_states: usize,
-        checker: &ComplianceChecker,
-        limits: Limits,
-        start: Instant,
-        cancel: Option<&Arc<AtomicBool>>,
-    ) -> CountOutcome {
-        let mut encoder = AutomatonEncoder::new(windows.to_vec(), num_states);
-        for sequence in entry_forbidden {
-            encoder.forbid_sequence(sequence.clone());
-        }
-        self.solve_count_with_encoder(&mut encoder, num_states, checker, limits, start, cancel)
-    }
-
-    /// Like [`Learner::solve_count`], but reusing a caller-owned encoder
-    /// that already holds the windows and every previously discovered
-    /// forbidden sequence. The sequential search retains one encoder across
-    /// all candidate counts this way — no per-count window clone, no
-    /// re-registration of the forbidden history — exactly as the PR 2
-    /// incremental loop did; retargeting via `set_num_states` builds the
-    /// identical CNF a freshly seeded encoder would.
+    /// round. The encoder is retained across counts and already holds the
+    /// windows and every forbidden sequence discovered at smaller counts
+    /// (they are properties of the predicate sequence, valid at every
+    /// count); retargeting via `set_num_states` builds the identical CNF a
+    /// freshly seeded encoder would. The solver carries the wall-clock
+    /// deadline, so one query cannot run past the time budget.
     fn solve_count_with_encoder(
         &self,
         encoder: &mut AutomatonEncoder,
@@ -1266,143 +1191,50 @@ impl Learner {
         checker: &ComplianceChecker,
         limits: Limits,
         start: Instant,
-        cancel: Option<&Arc<AtomicBool>>,
     ) -> CountOutcome {
-        let mut outcome = CountOutcome::pending();
         if let Err(error) = self.check_time(start) {
-            outcome.verdict = CountVerdict::Failed(error);
-            return outcome;
+            return CountOutcome::failed(error);
         }
         encoder.set_num_states(num_states);
         if let Err(error) = self.check_clause_budget(encoder, num_states) {
-            outcome.verdict = CountVerdict::Failed(error);
-            return outcome;
+            return CountOutcome::failed(error);
         }
-        let entry_count = encoder.num_forbidden();
         let encoding = encoder.encode_base();
         let mut solver = Solver::from_cnf(&encoding.cnf);
-        if let Some(flag) = cancel {
-            solver.set_interrupt(Arc::clone(flag));
-        }
+        solver.set_deadline(
+            self.config
+                .time_budget
+                .and_then(|budget| start.checked_add(budget)),
+        );
         self.refine_at_count(
             encoder,
             &encoding,
             &mut solver,
-            entry_count,
             num_states,
             checker,
             limits,
             start,
-            cancel,
-            &mut outcome,
-        );
-        outcome
+        )
     }
 
-    /// Speculative-portfolio worker for one state count: like
-    /// [`Learner::solve_count`], but the entry forbidden set comes from the
-    /// shared board, and broadcasts that land **before the first solve call**
-    /// are incorporated as delta clauses — producing the exact solver state a
-    /// sequential run would have built, which is what lets the adjudicator
-    /// adopt the result verbatim. Broadcasts after the first solve are
-    /// deliberately ignored (a sequential run would not have seen them
-    /// mid-count either); such workers report the entry they actually used
-    /// and the adjudicator reruns the count if it went stale.
-    #[allow(clippy::too_many_arguments)]
-    fn speculate_count(
-        &self,
-        windows: &[Vec<PredId>],
-        board: &Mutex<Vec<Vec<PredId>>>,
-        num_states: usize,
-        checker: &ComplianceChecker,
-        limits: Limits,
-        start: Instant,
-        slot: &SpeculationSlot,
-    ) -> SpeculativeOutcome {
-        let mut outcome = CountOutcome::pending();
-        let snapshot: Vec<Vec<PredId>> = board.lock().expect("forbidden board poisoned").clone();
-        if let Err(error) = self.check_time(start) {
-            outcome.verdict = CountVerdict::Failed(error);
-            return SpeculativeOutcome {
-                entry_len: snapshot.len(),
-                outcome,
-            };
-        }
-        let mut encoder = AutomatonEncoder::new(windows.to_vec(), num_states);
-        for sequence in &snapshot {
-            encoder.forbid_sequence(sequence.clone());
-        }
-        if let Err(error) = self.check_clause_budget(&encoder, num_states) {
-            outcome.verdict = CountVerdict::Failed(error);
-            return SpeculativeOutcome {
-                entry_len: snapshot.len(),
-                outcome,
-            };
-        }
-        let encoding = encoder.encode_base();
-        let mut solver = Solver::from_cnf(&encoding.cnf);
-        solver.set_interrupt(Arc::clone(&slot.cancel));
-        // Sync with the board one final time, atomically with publishing the
-        // entry length: exclusion clauses sit at the tail of the base CNF, so
-        // base(snapshot) + broadcast deltas feeds the solver the identical
-        // clause sequence as base(snapshot ++ broadcasts) — the speculated
-        // solver is bit-for-bit the sequential one for this entry state.
-        // Only the suffix copy and the publish happen under the lock; the
-        // (potentially large) exclusion-clause expansion runs after release
-        // so the board never serialises the wave. A broadcast landing after
-        // this point still invalidates the worker through the adjudicator's
-        // `synced < expected_len` check.
-        let (broadcast, entry_len) = {
-            let sequences = board.lock().expect("forbidden board poisoned");
-            slot.synced.store(sequences.len(), Ordering::SeqCst);
-            (sequences[snapshot.len()..].to_vec(), sequences.len())
-        };
-        drop(snapshot);
-        for sequence in broadcast {
-            encoder.forbid_sequence(sequence);
-        }
-        for clause in encoder.delta_clauses(&encoding) {
-            solver.add_clause(clause);
-        }
-        let entry_count = encoder.num_forbidden();
-        self.refine_at_count(
-            &mut encoder,
-            &encoding,
-            &mut solver,
-            entry_count,
-            num_states,
-            checker,
-            limits,
-            start,
-            Some(&slot.cancel),
-            &mut outcome,
-        );
-        SpeculativeOutcome { entry_len, outcome }
-    }
-
-    /// The refinement loop of one state count, shared by the sequential,
-    /// speculative and rerun paths so that all of them behave identically.
+    /// The refinement loop of one state count: solve, check the candidate's
+    /// compliance, forbid the violating sequences as delta clauses, repeat.
     #[allow(clippy::too_many_arguments)]
     fn refine_at_count(
         &self,
         encoder: &mut AutomatonEncoder,
         encoding: &Encoding,
         solver: &mut Solver,
-        entry_count: usize,
         num_states: usize,
         checker: &ComplianceChecker,
         limits: Limits,
         start: Instant,
-        cancel: Option<&Arc<AtomicBool>>,
-        outcome: &mut CountOutcome,
-    ) {
+    ) -> CountOutcome {
         let config = &self.config;
-        let cancelled = || cancel.is_some_and(|flag| flag.load(Ordering::Relaxed));
+        let mut sat_queries = 0usize;
+        let mut reused_learnt_clauses = 0u64;
         let mut refinements_here = 0usize;
         let verdict = loop {
-            if cancelled() {
-                break CountVerdict::Cancelled;
-            }
             if let Err(error) = self.check_time(start) {
                 break CountVerdict::Failed(error);
             }
@@ -1410,21 +1242,22 @@ impl Learner {
                 break CountVerdict::Failed(error);
             }
             if refinements_here > 0 {
-                outcome.reused_learnt_clauses += solver.num_learnts() as u64;
+                reused_learnt_clauses += solver.num_learnts() as u64;
             }
-            outcome.sat_queries += 1;
+            sat_queries += 1;
             match solver.solve_with_limits(limits) {
-                SatResult::Unsat => {
-                    break CountVerdict::Unsat {
-                        discovered: encoder.forbidden_sequences()[entry_count..].to_vec(),
-                    }
-                }
+                SatResult::Unsat => break CountVerdict::Unsat,
                 SatResult::Unknown => {
-                    if cancelled() {
-                        break CountVerdict::Cancelled;
-                    }
-                    break CountVerdict::Failed(LearnError::BudgetExhausted {
-                        resource: format!("SAT conflict budget exhausted with {num_states} states"),
+                    // The solver gives up on its conflict budget, or because
+                    // the wall-clock deadline passed mid-query; the latter
+                    // reports exactly what `check_time` would.
+                    break CountVerdict::Failed(match config.time_budget {
+                        Some(budget) if solver.is_interrupted() => wall_clock_exceeded(budget),
+                        _ => LearnError::BudgetExhausted {
+                            resource: format!(
+                                "SAT conflict budget exhausted with {num_states} states"
+                            ),
+                        },
                     });
                 }
                 SatResult::Sat(model) => {
@@ -1451,17 +1284,21 @@ impl Learner {
                 }
             }
         };
-        outcome.refinements = refinements_here;
         let solver_stats = solver.stats();
-        outcome.minimized_literals = solver_stats.minimized_literals;
-        outcome.lbd_histogram = solver_stats.lbd_histogram;
-        outcome.verdict = verdict;
+        CountOutcome {
+            sat_queries,
+            refinements: refinements_here,
+            reused_learnt_clauses,
+            minimized_literals: solver_stats.minimized_literals,
+            lbd_histogram: solver_stats.lbd_histogram,
+            verdict,
+        }
     }
 
-    /// The sequential state-count search: counts in ascending order, one
-    /// incremental solver each, forbidden sequences carried forward inside
-    /// a single retained encoder (the windows move into it once, as in the
-    /// PR 2 loop — no per-count cloning).
+    /// The state-count search: counts in ascending order, one incremental
+    /// solver each, forbidden sequences carried forward inside a single
+    /// retained encoder (the windows move into it once — no per-count
+    /// cloning).
     fn search_sequential(
         &self,
         windows: &[Vec<PredId>],
@@ -1473,155 +1310,15 @@ impl Learner {
         let config = &self.config;
         let mut encoder = AutomatonEncoder::new(windows.to_vec(), config.initial_states);
         for num_states in config.initial_states..=config.max_states {
-            let outcome = self.solve_count_with_encoder(
-                &mut encoder,
-                num_states,
-                checker,
-                limits,
-                start,
-                None,
-            );
+            let outcome =
+                self.solve_count_with_encoder(&mut encoder, num_states, checker, limits, start);
             stats.absorb_count(&outcome);
             match outcome.verdict {
                 CountVerdict::Compliant(automaton) => return Ok((num_states, automaton)),
                 // The discoveries already live in the retained encoder and
                 // carry into the next count's base encoding.
-                CountVerdict::Unsat { .. } => {}
+                CountVerdict::Unsat => {}
                 CountVerdict::Failed(error) => return Err(error),
-                CountVerdict::Cancelled => unreachable!("no cancellation without a portfolio"),
-            }
-        }
-        Err(LearnError::NoAutomaton {
-            max_states: config.max_states,
-        })
-    }
-
-    /// The speculative state-count portfolio: while the smallest undecided
-    /// count is being adjudicated, workers construct and solve the next
-    /// counts concurrently, each on its own incremental solver seeded from
-    /// the shared forbidden-sequence board. Counts are adjudicated in
-    /// ascending order:
-    ///
-    /// * a compliant count is accepted (it is the smallest — every smaller
-    ///   count was refuted first) and the cancellation flags abort the
-    ///   remaining speculation;
-    /// * a refuted count's newly discovered forbidden sequences are
-    ///   **broadcast** through the board: in-flight workers that have not
-    ///   issued their first solve call yet pick them up as delta clauses and
-    ///   stay adoptable, while workers already solving on the stale prefix
-    ///   are cancelled promptly (the flag is checked inside the solver's
-    ///   propagation loop);
-    /// * a speculated result is adopted only when its entry state matches
-    ///   what a sequential run would have used; otherwise the count is
-    ///   recomputed on the adjudicating thread with the up-to-date board.
-    ///
-    /// Adoption-only-on-matching-entry is what makes the portfolio return a
-    /// model bit-identical to the sequential search — and the accepted count
-    /// minimal — while still overlapping the expensive UNSAT refutations of
-    /// neighbouring counts.
-    fn search_portfolio(
-        &self,
-        windows: &[Vec<PredId>],
-        checker: &ComplianceChecker,
-        limits: Limits,
-        start: Instant,
-        stats: &mut LearnStats,
-        threads: usize,
-    ) -> Result<(usize, Nfa<PredId>), LearnError> {
-        let config = &self.config;
-        let board: Mutex<Vec<Vec<PredId>>> = Mutex::new(Vec::new());
-        let mut next_count = config.initial_states;
-        while next_count <= config.max_states {
-            let wave_end = (next_count + threads - 1).min(config.max_states);
-            let slots: Vec<SpeculationSlot> = (next_count..=wave_end)
-                .map(|_| SpeculationSlot::new())
-                .collect();
-            let decision = std::thread::scope(|scope| {
-                let handles: Vec<_> = (next_count..=wave_end)
-                    .zip(&slots)
-                    .map(|(num_states, slot)| {
-                        let board = &board;
-                        scope.spawn(move || {
-                            self.speculate_count(
-                                windows, board, num_states, checker, limits, start, slot,
-                            )
-                        })
-                    })
-                    .collect();
-                let mut expected_len = board.lock().expect("forbidden board poisoned").len();
-                let mut decision: Option<Result<(usize, Nfa<PredId>), LearnError>> = None;
-                for (offset, handle) in handles.into_iter().enumerate() {
-                    let num_states = next_count + offset;
-                    let speculative = handle.join().expect("portfolio worker panicked");
-                    if decision.is_some() {
-                        // Already decided: this worker's result — delivered
-                        // or cancelled — is discarded speculation.
-                        stats.speculative_solves += speculative.outcome.sat_queries;
-                        if matches!(speculative.outcome.verdict, CountVerdict::Cancelled) {
-                            stats.cancelled_solves += 1;
-                        }
-                        continue;
-                    }
-                    let valid = speculative.entry_len == expected_len
-                        && !matches!(speculative.outcome.verdict, CountVerdict::Cancelled);
-                    let adopted = if valid {
-                        if offset > 0 {
-                            stats.speculative_solves += speculative.outcome.sat_queries;
-                        }
-                        speculative.outcome
-                    } else {
-                        // Stale speculation: the worker solved against an
-                        // outdated entry set. Recompute the count here with
-                        // the current board so the adopted trajectory stays
-                        // exactly sequential.
-                        stats.speculative_solves += speculative.outcome.sat_queries;
-                        if matches!(speculative.outcome.verdict, CountVerdict::Cancelled) {
-                            stats.cancelled_solves += 1;
-                        }
-                        let entry = board.lock().expect("forbidden board poisoned").clone();
-                        self.solve_count(windows, &entry, num_states, checker, limits, start, None)
-                    };
-                    stats.absorb_count(&adopted);
-                    match adopted.verdict {
-                        CountVerdict::Compliant(automaton) => {
-                            for slot in &slots {
-                                slot.cancel.store(true, Ordering::Relaxed);
-                            }
-                            decision = Some(Ok((num_states, automaton)));
-                        }
-                        CountVerdict::Unsat { discovered } => {
-                            if !discovered.is_empty() {
-                                // Broadcast the discoveries. Workers that
-                                // sync after this append stay adoptable;
-                                // workers already solving on the old prefix
-                                // can never be adopted — cancel them now.
-                                let mut sequences = board.lock().expect("forbidden board poisoned");
-                                sequences.extend(discovered);
-                                expected_len = sequences.len();
-                                for slot in &slots[offset + 1..] {
-                                    let synced = slot.synced.load(Ordering::SeqCst);
-                                    if synced != usize::MAX && synced < expected_len {
-                                        slot.cancel.store(true, Ordering::Relaxed);
-                                    }
-                                }
-                            }
-                        }
-                        CountVerdict::Failed(error) => {
-                            for slot in &slots {
-                                slot.cancel.store(true, Ordering::Relaxed);
-                            }
-                            decision = Some(Err(error));
-                        }
-                        CountVerdict::Cancelled => {
-                            unreachable!("adopted and recomputed counts are never cancelled")
-                        }
-                    }
-                }
-                decision
-            });
-            match decision {
-                Some(result) => return result,
-                None => next_count = wave_end + 1,
             }
         }
         Err(LearnError::NoAutomaton {
@@ -1689,14 +1386,17 @@ impl Learner {
     }
 
     fn check_time(&self, start: Instant) -> Result<(), LearnError> {
-        if let Some(budget) = self.config.time_budget {
-            if start.elapsed() > budget {
-                return Err(LearnError::BudgetExhausted {
-                    resource: format!("wall-clock budget of {budget:?} exceeded"),
-                });
-            }
+        match self.config.time_budget {
+            Some(budget) if start.elapsed() > budget => Err(wall_clock_exceeded(budget)),
+            _ => Ok(()),
         }
-        Ok(())
+    }
+}
+
+/// The error of a run that outlived its wall-clock budget.
+fn wall_clock_exceeded(budget: Duration) -> LearnError {
+    LearnError::BudgetExhausted {
+        resource: format!("wall-clock budget of {budget:?} exceeded"),
     }
 }
 
@@ -1865,8 +1565,7 @@ mod tests {
         let model = learn_with_defaults(&small_counter()).unwrap();
         let stats = model.stats();
         // The search starts at `initial_states` (2 by default) and constructs
-        // exactly one solver per candidate count up to the final one — the
-        // portfolio's adoption rule preserves this accounting.
+        // exactly one solver per candidate count up to the final one.
         assert_eq!(
             stats.solvers_constructed,
             stats.states - LearnerConfig::default().initial_states + 1
@@ -1875,7 +1574,7 @@ mod tests {
     }
 
     #[test]
-    fn portfolio_learns_the_sequential_model_bit_for_bit() {
+    fn every_thread_count_learns_the_sequential_model_bit_for_bit() {
         let trace = small_counter();
         let sequential = Learner::new(LearnerConfig::default().with_num_threads(1))
             .learn(&trace)

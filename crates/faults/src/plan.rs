@@ -35,8 +35,8 @@ pub enum FaultSite {
     /// `sat.budget` — a solver call reports its budget exhausted without
     /// searching.
     SatBudget,
-    /// `sat.interrupt` — a solver call behaves as if its cooperative
-    /// interrupt flag was raised immediately.
+    /// `sat.interrupt` — a solver call behaves as if its wall-clock
+    /// deadline had already passed.
     SatInterrupt,
     /// `worker.panic` — a serve pool worker panics while processing a data
     /// task.

@@ -39,8 +39,7 @@
 use crate::cnf::Cnf;
 use crate::lit::{Lit, Var};
 use crate::model::Model;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::time::Instant;
 
 /// Resource limits for a single [`Solver::solve_with_limits`] call.
 ///
@@ -336,9 +335,9 @@ pub struct Solver {
     prop_limit: Option<u64>,
     prop_budget_hit: bool,
     failed: Vec<Lit>,
-    /// Cooperative interrupt: when the flag is raised by another thread the
-    /// current solve call abandons its work with [`SatResult::Unknown`].
-    interrupt: Option<Arc<AtomicBool>>,
+    /// Wall-clock deadline: once it has passed, the current solve call
+    /// abandons its work with [`SatResult::Unknown`].
+    deadline: Option<Instant>,
 }
 
 impl Solver {
@@ -379,7 +378,7 @@ impl Solver {
             prop_limit: None,
             prop_budget_hit: false,
             failed: Vec::new(),
-            interrupt: None,
+            deadline: None,
         }
     }
 
@@ -419,30 +418,22 @@ impl Solver {
         self.learnt_limit = limit.max(1);
     }
 
-    /// Installs a cooperative interrupt flag, shared with other threads.
+    /// Installs a wall-clock deadline, or removes it with `None`.
     ///
-    /// The flag is polled inside unit propagation (with the same
+    /// The deadline is polled inside unit propagation (with the same
     /// 1024-propagation granularity as the propagation budget) and once per
-    /// conflict-loop iteration, so raising it from another thread makes an
-    /// in-flight solve call give up with [`SatResult::Unknown`] promptly —
-    /// this is what lets the learner's speculative portfolio cancel workers
-    /// whose state count has become moot. The solver itself never clears the
-    /// flag; an interrupted solver remains usable and answers correctly once
-    /// the flag is lowered (or [cleared](Solver::clear_interrupt)).
-    pub fn set_interrupt(&mut self, flag: Arc<AtomicBool>) {
-        self.interrupt = Some(flag);
+    /// conflict-loop iteration, so a solve call still running when it passes
+    /// gives up with [`SatResult::Unknown`] promptly. Without a deadline the
+    /// solver never reads the clock. A solver stopped by its deadline remains
+    /// usable and answers correctly once the deadline is moved or removed.
+    pub fn set_deadline(&mut self, deadline: Option<Instant>) {
+        self.deadline = deadline;
     }
 
-    /// Removes an installed interrupt flag.
-    pub fn clear_interrupt(&mut self) {
-        self.interrupt = None;
-    }
-
-    /// Whether an installed interrupt flag is currently raised.
+    /// Whether the installed deadline has passed.
     pub fn is_interrupted(&self) -> bool {
-        self.interrupt
-            .as_ref()
-            .is_some_and(|flag| flag.load(Ordering::Relaxed))
+        self.deadline
+            .is_some_and(|deadline| Instant::now() >= deadline)
     }
 
     /// The subset of the assumptions passed to the last
@@ -562,7 +553,7 @@ impl Solver {
 
     fn propagate(&mut self) -> Option<Conflict> {
         while self.qhead < self.trail.len() {
-            // Enforce the propagation budget and poll the interrupt flag
+            // Enforce the propagation budget and poll the deadline
             // *inside* the loop (with 1024-step granularity) so a single long
             // propagation pass cannot blow past either: the solve loop only
             // regains control between conflicts.
@@ -796,13 +787,23 @@ impl Solver {
         // facts) — MiniSat's recursive `litRedundant`. The `seen` flags of
         // the learnt literals are still set here and serve as the "absorbed"
         // marker; `to_clear` collects every extra flag raised on the way.
+        // Each check walks the implication graph afresh, so a clause of tens
+        // of thousands of literals can take seconds: the deadline is polled
+        // every 64 literals, and once it has passed the remaining literals
+        // are kept unminimized (a weaker clause, still implied) so that the
+        // search loop gives up promptly.
         self.to_clear.clear();
         self.to_clear.extend_from_slice(&learnt[1..]);
         let mut kept = 1;
+        let mut interrupted = false;
         for i in 1..learnt.len() {
             let l = learnt[i];
-            let redundant =
-                !matches!(self.reason[l.var().index()], Reason::None) && self.lit_redundant(l);
+            if i & 63 == 0 && !interrupted {
+                interrupted = self.is_interrupted();
+            }
+            let redundant = !interrupted
+                && !matches!(self.reason[l.var().index()], Reason::None)
+                && self.lit_redundant(l);
             if !redundant {
                 learnt[kept] = l;
                 kept += 1;
@@ -1670,53 +1671,43 @@ mod tests {
     }
 
     #[test]
-    fn interrupt_raised_before_solving_returns_unknown() {
+    fn past_deadline_returns_unknown_until_it_is_removed() {
         let (num_vars, clauses) = pigeonhole_clauses(6, 5);
         let mut solver = Solver::new(num_vars);
         for clause in &clauses {
             solver.add_clause(clause.iter().copied());
         }
-        let flag = Arc::new(AtomicBool::new(true));
-        solver.set_interrupt(Arc::clone(&flag));
+        solver.set_deadline(Some(Instant::now()));
         assert!(solver.is_interrupted());
         assert_eq!(solver.solve(), SatResult::Unknown);
-        // Lowering the flag restores full functionality on the same solver.
-        flag.store(false, Ordering::Relaxed);
+        // Removing the deadline restores full functionality on the same solver.
+        solver.set_deadline(None);
         assert!(!solver.is_interrupted());
         assert!(solver.solve().is_unsat());
     }
 
     #[test]
-    fn interrupt_from_another_thread_stops_a_long_solve_promptly() {
+    fn deadline_stops_a_long_solve_promptly() {
         // Pigeonhole 10-into-9 takes far longer than the test budget; the
-        // interrupt must cut the solve short from a concurrent thread.
+        // deadline must cut the solve short.
         let (num_vars, clauses) = pigeonhole_clauses(10, 9);
         let mut solver = Solver::new(num_vars);
         for clause in &clauses {
             solver.add_clause(clause.iter().copied());
         }
-        let flag = Arc::new(AtomicBool::new(false));
-        solver.set_interrupt(Arc::clone(&flag));
-        let result = std::thread::scope(|scope| {
-            scope.spawn(|| {
-                std::thread::sleep(std::time::Duration::from_millis(50));
-                flag.store(true, Ordering::Relaxed);
-            });
-            let start = std::time::Instant::now();
-            let result = solver.solve();
-            assert!(
-                start.elapsed() < std::time::Duration::from_secs(20),
-                "interrupt was not honoured promptly"
-            );
-            result
-        });
-        assert_eq!(result, SatResult::Unknown);
-        // The interrupted solver answers a small query once cleared.
-        solver.clear_interrupt();
-        assert!(!solver.is_interrupted());
-        let mut small = Solver::new(1);
-        small.add_clause([lit(0, true)]);
-        assert!(small.solve().is_sat());
+        let start = Instant::now();
+        solver.set_deadline(Some(start + std::time::Duration::from_millis(50)));
+        assert_eq!(solver.solve(), SatResult::Unknown);
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(20),
+            "deadline was not honoured promptly"
+        );
+        // The stopped solver stays usable: without the deadline it answers a
+        // query made trivially unsatisfiable by contradicting units.
+        solver.set_deadline(None);
+        solver.add_clause([lit(0, true)]);
+        solver.add_clause([lit(0, false)]);
+        assert!(solver.solve().is_unsat());
     }
 
     #[test]

@@ -457,6 +457,7 @@ pub fn serve_socket(
     );
     thread::scope(|scope| -> io::Result<ServeSummary> {
         let mut handles = Vec::new();
+        let mut summary = ServeSummary::default();
         let mut accepted = 0usize;
         while !max_connections.is_some_and(|max| accepted >= max) {
             let connection = match listener.accept() {
@@ -470,6 +471,9 @@ pub fn serve_socket(
                 }
                 Err(error) => return Err(error),
             };
+            // A long-running listener must not retain one handle per
+            // connection it ever served.
+            reap_finished(&mut handles, &mut summary);
             let index = accepted;
             accepted += 1;
             let limit = options.max_open_streams;
@@ -493,21 +497,37 @@ pub fn serve_socket(
                 outcome
             }));
         }
-        let mut summary = ServeSummary::default();
         for handle in handles {
-            summary.streams += 1;
-            match handle.join() {
-                Ok(outcome) => {
-                    summary.events += outcome.events;
-                    summary.deviations += outcome.deviations;
-                    summary.failed += usize::from(outcome.failed);
-                }
-                Err(_) => summary.failed += 1,
-            }
+            fold_connection(&mut summary, handle.join());
         }
         summary.shed = shed.load(Ordering::Relaxed);
         Ok(summary)
     })
+}
+
+/// Joins every connection thread in `handles` that has finished, folding
+/// its outcome into `summary`; the ones still running stay in `handles`.
+fn reap_finished(
+    handles: &mut Vec<thread::ScopedJoinHandle<'_, StreamOutcome>>,
+    summary: &mut ServeSummary,
+) {
+    while let Some(position) = handles.iter().position(|handle| handle.is_finished()) {
+        fold_connection(summary, handles.swap_remove(position).join());
+    }
+}
+
+/// Counts one joined connection in `summary`; a connection thread that
+/// panicked counts as a failed stream.
+fn fold_connection(summary: &mut ServeSummary, joined: thread::Result<StreamOutcome>) {
+    summary.streams += 1;
+    match joined {
+        Ok(outcome) => {
+            summary.events += outcome.events;
+            summary.deviations += outcome.deviations;
+            summary.failed += usize::from(outcome.failed);
+        }
+        Err(_) => summary.failed += 1,
+    }
 }
 
 fn handle_connection(
@@ -960,6 +980,33 @@ mod tests {
         assert_eq!(summary.streams, 1);
         assert_eq!(summary.events, 300);
         assert_eq!(summary.deviations, 0);
+    }
+
+    #[test]
+    fn finished_connections_are_reaped_into_the_summary() {
+        let connections = 5;
+        let (summary, retained) = thread::scope(|scope| {
+            let mut handles: Vec<_> = (0..connections)
+                .map(|index| {
+                    scope.spawn(move || StreamOutcome {
+                        events: 10,
+                        deviations: usize::from(index == 0),
+                        failed: index == 1,
+                    })
+                })
+                .collect();
+            while !handles.iter().all(|handle| handle.is_finished()) {
+                thread::yield_now();
+            }
+            let mut summary = ServeSummary::default();
+            reap_finished(&mut handles, &mut summary);
+            (summary, handles.len())
+        });
+        assert_eq!(retained, 0, "finished connections must not stay retained");
+        assert_eq!(summary.streams, connections);
+        assert_eq!(summary.events, 10 * connections);
+        assert_eq!(summary.deviations, 1);
+        assert_eq!(summary.failed, 1);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Determinism suite for the parallel learning pipeline: `learn_many` must
 //! return bit-identical models for any worker-thread count on all six paper
-//! workloads, the portfolio must preserve state-count minimality, and
-//! speculative workers must stop promptly when budgets hit.
+//! workloads, the state count must stay minimal at every thread count, and
+//! the search must stop promptly when budgets hit.
 //!
 //! CI runs this suite in release mode alongside the debug `cargo test` run.
 
@@ -35,7 +35,8 @@ fn config_for(workload: Workload) -> LearnerConfig {
 }
 
 /// Zeroes the fields legitimately allowed to differ across thread counts:
-/// the thread/speculation counters and the wall-clock phase times.
+/// the thread counter and the wall-clock phase times (the two speculation
+/// counters are always 0 and scrubbed only for completeness).
 fn scrubbed(stats: LearnStats) -> LearnStats {
     LearnStats {
         threads_used: 0,
@@ -89,17 +90,16 @@ fn learn_many_is_bit_identical_across_thread_counts() {
 }
 
 #[test]
-fn portfolio_state_count_is_still_minimal() {
-    // The portfolio accepts a speculated count only after every smaller
-    // count was refuted with a matching entry state, so its answer is the
-    // minimum satisfiable count: starting the *sequential* search one state
-    // lower must converge on the same count.
+fn state_count_is_minimal_at_every_thread_count() {
+    // The search accepts a count only after every smaller count was refuted,
+    // so its answer is the minimum satisfiable count at any thread count:
+    // the single-threaded run must converge on the same count.
     for workload in [Workload::Counter, Workload::LinuxKernel] {
         let set = workload_set(workload);
         let config = config_for(workload);
         let parallel = Learner::new(config.clone().with_num_threads(8))
             .learn_many(&set)
-            .expect("portfolio run learns");
+            .expect("parallel run learns");
         let sequential = Learner::new(config.clone().with_num_threads(1))
             .learn_many(&set)
             .expect("sequential run learns");
@@ -119,11 +119,9 @@ fn portfolio_state_count_is_still_minimal() {
 }
 
 #[test]
-fn speculative_workers_stop_promptly_when_budgets_hit() {
-    // A conflict budget too small to decide anything: the sequential and
-    // portfolio searches must report the identical budget error, and the
-    // cancellation flag must stop the in-flight speculation promptly rather
-    // than letting the doomed waves run to completion.
+fn searches_stop_promptly_when_conflict_budgets_hit() {
+    // A conflict budget too small to decide anything: the single- and
+    // multi-threaded runs must report the identical budget error, promptly.
     let set = workload_set(Workload::LinuxKernel);
     let mut tiny = config_for(Workload::LinuxKernel);
     tiny.max_conflicts = Some(1);
@@ -132,7 +130,7 @@ fn speculative_workers_stop_promptly_when_budgets_hit() {
     let parallel = Learner::new(tiny.with_num_threads(8)).learn_many(&set);
     assert!(
         start.elapsed() < Duration::from_secs(120),
-        "speculative workers were not cancelled promptly"
+        "the budget did not stop the search promptly"
     );
     match (sequential, parallel) {
         (
@@ -156,4 +154,41 @@ fn time_budget_errors_match_across_thread_counts() {
         ) => assert_eq!(a, b),
         other => panic!("expected matching budget errors, got {other:?}"),
     }
+}
+
+/// A full-trace (`segmented: false`) `usb_attach` instance whose first
+/// state count takes several seconds in one SAT query: the wall-clock budget
+/// must stop that query from inside the solver, not only between queries.
+/// Ignored in debug builds (the timing is meaningful in release only).
+#[cfg_attr(
+    debug_assertions,
+    ignore = "run in release builds (CI: cargo test --release)"
+)]
+#[test]
+fn time_budget_stops_a_long_sat_query() {
+    let trace = Workload::UsbAttach.generate(16_000);
+    let budget = Duration::from_secs(1);
+    let config = LearnerConfig {
+        segmented: false,
+        initial_states: 7,
+        ..LearnerConfig::default()
+    }
+    .with_num_threads(1)
+    .with_time_budget(budget);
+    let start = Instant::now();
+    let result = Learner::new(config).learn(&trace);
+    let elapsed = start.elapsed();
+    match result {
+        Err(LearnError::BudgetExhausted { resource }) => {
+            assert_eq!(
+                resource,
+                format!("wall-clock budget of {budget:?} exceeded")
+            );
+        }
+        other => panic!("expected wall-clock budget exhaustion, got {other:?}"),
+    }
+    assert!(
+        elapsed < budget + Duration::from_secs(1),
+        "budget of {budget:?} overrun: returned after {elapsed:?}"
+    );
 }
